@@ -37,7 +37,9 @@ def _parse_size(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # The backend list comes from the profile registry, so a profile
-    # registered via register_profile shows up in every --profile flag.
+    # registered via register_profile shows up in every --profile flag;
+    # the framework list comes from the trainer's job table.
+    from .core.trainer import FRAMEWORK_NAMES
     from .mpi.profiles import profile_names
     profiles = profile_names()
 
@@ -48,8 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="run a training experiment")
     t.add_argument("--framework", default="scaffe",
-                   choices=["scaffe", "caffe", "nvcaffe", "cntk",
-                            "inspur", "mpicaffe"])
+                   choices=FRAMEWORK_NAMES)
     t.add_argument("--cluster", default="A", choices=["A", "B"])
     t.add_argument("--gpus", type=int, default=16)
     t.add_argument("--network", default="googlenet")
@@ -70,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "file instead of a model-zoo name")
     t.add_argument("--no-live", action="store_true",
                    help="suppress the per-iteration live status line "
-                        "(S-Caffe runs print one by default)")
+                        "(printed by default)")
 
     m = sub.add_parser(
         "metrics",
@@ -289,7 +290,7 @@ def _cmd_train(args) -> int:
                       data_backend=args.backend,
                       measure_iterations=min(4, args.iterations))
     telemetry = None
-    if args.framework == "scaffe" and not args.no_live:
+    if not args.no_live:
         from .telemetry import TelemetrySession
 
         def status(row: dict) -> None:

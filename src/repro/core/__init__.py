@@ -4,6 +4,7 @@ from .caffe import CaffeJob, run_caffe
 from .cntk import CNTKJob, run_cntk
 from .config import TrainConfig
 from .frameworks import FRAMEWORKS, FrameworkFeatures, table1_rows
+from .job import TrainingJob
 from .metrics import FaultReport, TrainingReport, speedup
 from .mpi_caffe import MPICaffeJob, run_mpi_caffe
 from .param_server import ParameterServerJob, run_param_server
@@ -16,6 +17,7 @@ __all__ = [
     "CNTKJob", "run_cntk",
     "TrainConfig",
     "FRAMEWORKS", "FrameworkFeatures", "table1_rows",
+    "TrainingJob",
     "FaultReport", "TrainingReport", "speedup",
     "MPICaffeJob", "run_mpi_caffe",
     "ParameterServerJob", "run_param_server",

@@ -14,15 +14,11 @@ slightly faster compute.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, List
 
-from ..cuda import CudaRuntime, DeviceBuffer
-from ..hardware import Cluster
-from ..io import DataLayer, DataReader, get_dataset, make_backend
-from ..sim import Barrier, Event, Tracer
-from .config import TrainConfig
-from .metrics import TrainingReport
-from .workload import Workload
+from ..cuda import DeviceBuffer
+from ..sim import Barrier, Event
+from .job import TrainingJob
 
 __all__ = ["CaffeJob", "run_caffe"]
 
@@ -30,87 +26,49 @@ __all__ = ["CaffeJob", "run_caffe"]
 NV_COMPUTE_SCALE = 0.93
 
 
-class CaffeJob:
+class CaffeJob(TrainingJob):
     """Single-node multi-GPU Caffe training (threads, not MPI)."""
 
-    def __init__(self, cluster: Cluster, n_gpus: int, workload: Workload,
-                 cfg: TrainConfig, *, optimized: bool = False,
-                 tracer: Optional[Tracer] = None):
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.cal = cluster.cal
-        self.n_gpus = n_gpus
-        self.workload = workload
-        self.cfg = cfg
+    root_actors = ("t0",)
+
+    def __init__(self, *args, optimized: bool = False, **kwargs):
         self.optimized = optimized
-        self.cuda = CudaRuntime(cluster)
-        self.tracer = tracer or Tracer(self.sim)
-        self.local_batch = cfg.local_batch(n_gpus)
-        self.sim_iterations = min(cfg.iterations, cfg.measure_iterations + 1)
-        self._iter_ends: List[float] = []
-        self._compute_scale = NV_COMPUTE_SCALE if optimized else 1.0
+        if optimized:
+            self.compute_scale = NV_COMPUTE_SCALE
+        super().__init__(*args, **kwargs)
 
     @property
     def name(self) -> str:
         return "NV-Caffe" if self.optimized else "Caffe"
 
-    def run(self) -> TrainingReport:
-        cfg = self.cfg
-        wl = self.workload
-        report = TrainingReport(
-            framework=self.name, network=wl.name, n_gpus=self.n_gpus,
-            iterations=cfg.iterations, total_time=0.0,
-            global_batch=cfg.global_batch(self.n_gpus))
-
+    def refusal(self):
         # Shared-address-space design: one node only (Section 3.2).
         if self.n_gpus > self.cluster.gpus_per_node:
-            report.failure = "unsupported"
-            report.notes = ("single-process design limited to "
-                            f"{self.cluster.gpus_per_node} GPUs/node")
-            return report
-        need = wl.memory_per_solver(self.local_batch)
-        if need > self.cluster.gpus[0].spec.memory_bytes:
-            report.failure = "oom"
-            return report
+            return "unsupported", ("single-process design limited to "
+                                   f"{self.cluster.gpus_per_node} GPUs/node")
+        return super().refusal()
 
+    def _spawn(self, backend):
         gpus = self.cluster.nodes[0].gpus[:self.n_gpus]
-        dataset = get_dataset(cfg.dataset)
         # Single reader, shared queue: reads the whole global batch.
-        backend = make_backend("lmdb", self.sim, dataset, self.cal)
-        reader = DataReader(
-            self.sim, backend,
-            batch_samples=max(1, self.local_batch * self.n_gpus),
-            decode_bw=self.cal.decode_bw, name="caffe.reader")
-        shared_layer = DataLayer(reader)
-
-        params = [DeviceBuffer(g, wl.param_bytes, name="params")
+        self._layer = self._data_layer(backend, "caffe.reader",
+                                       self.local_batch * self.n_gpus)
+        params = [DeviceBuffer(g, self.workload.param_bytes, name="params")
                   for g in gpus]
-        grads = [DeviceBuffer(g, wl.param_bytes, name="grads")
+        grads = [DeviceBuffer(g, self.workload.param_bytes, name="grads")
                  for g in gpus]
         barrier = Barrier(self.sim, self.n_gpus)
-        phase_bar = Barrier(self.sim, self.n_gpus)
-
-        procs = [self.sim.process(
-            self._solver_thread(t, gpus, params, grads, shared_layer,
-                                barrier, phase_bar),
+        # Per-round barrier of the P2P trees.
+        self._round_bar = Barrier(self.sim, self.n_gpus)
+        return [self.sim.process(
+            self._solver_thread(t, gpus, params, grads, barrier),
             name=f"caffe.t{t}") for t in range(self.n_gpus)]
-        self.sim.run()
-        for p in procs:
-            if not p.ok:  # pragma: no cover
-                raise p.value
-        reader.stop()
-        self.sim.run()
 
-        ends = self._iter_ends
-        first = ends[0]
-        steady = ((ends[-1] - ends[0]) / (len(ends) - 1)
-                  if len(ends) > 1 else first)
-        report.total_time = (first + steady * (cfg.iterations - 1)
-                             if cfg.iterations != len(ends) else ends[-1])
-        report.phase_breakdown = {
-            p: (self.tracer.total(p, "t0") / self.sim_iterations)
-            for p in ("propagation", "fwd", "bwd", "aggregation", "update")}
-        return report
+    def _simulate(self, report):
+        super()._simulate(report)
+        # The shared reader outlives the solver threads: stop and drain.
+        self._layer.reader.stop()
+        self.sim.run()
 
     # -- P2P tree helpers -----------------------------------------------------
     def _tree_bcast(self, t: int, bufs: List[DeviceBuffer]
@@ -153,16 +111,12 @@ class CaffeJob:
             yield self._round_bar.arrive()
             mask <<= 1
 
-    def _solver_thread(self, t: int, gpus, params, grads, shared_layer,
-                       barrier: Barrier, phase_bar: Barrier
+    def _solver_thread(self, t: int, gpus, params, grads, barrier: Barrier
                        ) -> Generator[Event, Any, None]:
         wl = self.workload
         gpu = gpus[t]
-        lb = self.local_batch
-        eff = self.cal.batch_efficiency(max(1, lb))
         tr = self.tracer
         actor = f"t{t}"
-        self._round_bar = phase_bar
         yield barrier.arrive()
 
         for it in range(self.sim_iterations):
@@ -173,42 +127,22 @@ class CaffeJob:
 
             # Shared queue: thread 0 pops for everyone (single reader).
             if t == 0:
-                yield from shared_layer.next_batch()
+                yield from self._layer.next_batch()
             yield barrier.arrive()
-            yield self.sim.timeout(self.cal.cuda_copy_overhead)
-            yield from gpu.pcie_down.transfer(
-                lb * wl.input_bytes_per_sample)
-
-            tr.begin(actor, "fwd")
-            yield from self.cuda.launch(
-                gpu, flops=wl.fwd_flops_per_sample * lb
-                * self._compute_scale / eff)
-            tr.end(actor, "fwd")
-            tr.begin(actor, "bwd")
-            yield from self.cuda.launch(
-                gpu, flops=wl.bwd_flops_per_sample * lb
-                * self._compute_scale / eff)
-            tr.end(actor, "bwd")
+            yield from self._upload_input(gpu)
+            yield from self._compute(gpu, actor, "fwd",
+                                     wl.fwd_flops_per_sample)
+            yield from self._compute(gpu, actor, "bwd",
+                                     wl.bwd_flops_per_sample)
 
             tr.begin(actor, "aggregation")
             yield from self._tree_reduce(t, grads)
             tr.end(actor, "aggregation")
 
             if t == 0:
-                tr.begin(actor, "update")
-                yield self.sim.timeout(self.cal.solver_iteration_overhead)
-                yield from self.cuda.launch(gpu, flops=wl.param_bytes)
-                tr.end(actor, "update")
-                self._iter_ends.append(self.sim.now)
+                yield from self._update(gpu, actor)
+                self._record_iter_end(it)
             yield barrier.arrive()
 
 
-def run_caffe(cluster: Cluster, n_gpus: int, cfg: TrainConfig, *,
-              optimized: bool = False,
-              workload: Optional[Workload] = None,
-              tracer: Optional[Tracer] = None) -> TrainingReport:
-    if workload is None:
-        from ..dnn import get_network
-        workload = Workload.from_spec(get_network(cfg.network))
-    return CaffeJob(cluster, n_gpus, workload, cfg, optimized=optimized,
-                    tracer=tracer).run()
+run_caffe = CaffeJob.launch

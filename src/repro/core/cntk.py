@@ -10,16 +10,15 @@ S-Caffe in Fig. 10 despite that.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator
 
-from ..hardware import Cluster
-from ..io import DataLayer, DataReader, get_dataset, make_backend
-from ..mpi import MPIRuntime, MPIProfile, MV2, RankContext
+from ..cuda import DeviceBuffer
+from ..dnn.quantization import quantized_nbytes
+from ..mpi import MV2, RankContext
 from ..mpi.collectives import allreduce_ring
-from ..sim import Event, Tracer
-from .config import TrainConfig
-from .metrics import TrainingReport
-from .workload import SolverBuffers, Workload
+from ..sim import Event
+from .job import TrainingJob
+from .workload import SolverBuffers
 
 __all__ = ["CNTKJob", "run_cntk"]
 
@@ -28,78 +27,36 @@ __all__ = ["CNTKJob", "run_cntk"]
 CNTK_PROFILE = MV2.derive(name="cntk-mpi", gdr=False, ipc=False)
 
 
-class CNTKJob:
+class CNTKJob(TrainingJob):
     """Allreduce-everywhere data-parallel training."""
 
-    def __init__(self, cluster: Cluster, n_gpus: int, workload: Workload,
-                 cfg: TrainConfig, *,
-                 profile: MPIProfile = CNTK_PROFILE,
-                 quantization_bits: int = 32,
-                 tracer: Optional[Tracer] = None):
+    phases = ("fwd", "bwd", "aggregation", "update")
+    default_profile = CNTK_PROFILE
+    data_backend = "lustre"
+
+    def __init__(self, *args, quantization_bits: int = 32, **kwargs):
         if quantization_bits not in (1, 32):
             raise ValueError("CNTK supports 1-bit or 32-bit SGD")
         self.quantization_bits = quantization_bits
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.cal = cluster.cal
-        self.n_gpus = n_gpus
-        self.workload = workload
-        self.cfg = cfg
-        self.runtime = MPIRuntime(cluster, profile)
-        self.tracer = tracer or Tracer(self.sim)
-        self.local_batch = cfg.local_batch(n_gpus)
-        self.sim_iterations = min(cfg.iterations, cfg.measure_iterations + 1)
-        self._iter_ends: List[float] = []
+        super().__init__(*args, **kwargs)
 
-    def run(self) -> TrainingReport:
-        cfg = self.cfg
-        wl = self.workload
-        name = ("CNTK" if self.quantization_bits == 32
+    @property
+    def name(self) -> str:
+        return ("CNTK" if self.quantization_bits == 32
                 else "CNTK (1-bit SGD)")
-        report = TrainingReport(
-            framework=name, network=wl.name, n_gpus=self.n_gpus,
-            iterations=cfg.iterations, total_time=0.0,
-            global_batch=cfg.global_batch(self.n_gpus))
-        if wl.memory_per_solver(self.local_batch) > \
-                self.cluster.gpus[0].spec.memory_bytes:
-            report.failure = "oom"
-            return report
-
-        comm = self.runtime.world(self.n_gpus)
-        dataset = get_dataset(cfg.dataset)
-        backend = make_backend("lustre", self.sim, dataset, self.cal)
-        procs = self.runtime.spawn(comm, self._rank_program, backend)
-        self.sim.run()
-        for p in procs:
-            if not p.ok:  # pragma: no cover
-                raise p.value
-
-        ends = self._iter_ends
-        first = ends[0]
-        steady = ((ends[-1] - ends[0]) / (len(ends) - 1)
-                  if len(ends) > 1 else first)
-        report.total_time = (first + steady * (cfg.iterations - 1)
-                             if cfg.iterations != len(ends) else ends[-1])
-        report.phase_breakdown = {
-            p: self.tracer.total(p, "r0") / self.sim_iterations
-            for p in ("fwd", "bwd", "aggregation", "update")}
-        return report
 
     def _rank_program(self, ctx: RankContext, backend
                       ) -> Generator[Event, Any, None]:
         wl = self.workload
         lb = self.local_batch
-        eff = self.cal.batch_efficiency(max(1, lb))
-        tr = self.tracer
         actor = f"r{ctx.rank}"
+        tr = self.tracer
 
-        buffers = SolverBuffers(wl, ctx.gpu, per_group_params=False, per_group_grads=False,
-                                with_payload=False)
+        buffers = SolverBuffers(wl, ctx.gpu, per_group_params=False,
+                                per_group_grads=False, with_payload=False)
         result = ctx.scratch_like(buffers.packed_grads, "cntk.sum")
         # 1-bit SGD: the allreduce moves packed sign bits (+levels), not
         # float32 gradients; quantize/dequantize kernels bracket it.
-        from ..cuda import DeviceBuffer
-        from ..dnn.quantization import quantized_nbytes
         wire = None
         wire_sum = None
         if self.quantization_bits == 1:
@@ -109,27 +66,17 @@ class CNTKJob:
         extra = lb * (wl.activation_bytes_per_sample
                       + wl.input_bytes_per_sample)
         ctx.gpu.reserve(extra)
-        reader = DataReader(self.sim, backend, batch_samples=max(1, lb),
-                            decode_bw=self.cal.decode_bw,
-                            name=f"{actor}.reader")
-        layer = DataLayer(reader)
+        layer = self._data_layer(backend, f"{actor}.reader")
         yield from ctx.barrier()
 
         try:
             for it in range(self.sim_iterations):
                 yield from layer.next_batch()
-                yield self.sim.timeout(self.cal.cuda_copy_overhead)
-                yield from ctx.gpu.pcie_down.transfer(
-                    lb * wl.input_bytes_per_sample)
-
-                tr.begin(actor, "fwd")
-                yield from ctx.cuda.launch(
-                    ctx.gpu, flops=wl.fwd_flops_per_sample * lb / eff)
-                tr.end(actor, "fwd")
-                tr.begin(actor, "bwd")
-                yield from ctx.cuda.launch(
-                    ctx.gpu, flops=wl.bwd_flops_per_sample * lb / eff)
-                tr.end(actor, "bwd")
+                yield from self._upload_input(ctx.gpu)
+                yield from self._compute(ctx.gpu, actor, "fwd",
+                                         wl.fwd_flops_per_sample)
+                yield from self._compute(ctx.gpu, actor, "bwd",
+                                         wl.bwd_flops_per_sample)
 
                 tr.begin(actor, "aggregation")
                 if wire is not None:
@@ -148,14 +95,11 @@ class CNTKJob:
                 tr.end(actor, "aggregation")
 
                 # Every worker applies the update locally.
-                tr.begin(actor, "update")
-                yield self.sim.timeout(self.cal.solver_iteration_overhead)
-                yield from ctx.cuda.launch(ctx.gpu, flops=wl.param_bytes)
-                tr.end(actor, "update")
+                yield from self._update(ctx.gpu, actor)
                 if ctx.rank == 0:
-                    self._iter_ends.append(self.sim.now)
+                    self._record_iter_end(it)
         finally:
-            reader.stop()
+            layer.reader.stop()
             buffers.free()
             result.free()
             if wire is not None:
@@ -164,12 +108,4 @@ class CNTKJob:
             ctx.gpu.unreserve(extra)
 
 
-def run_cntk(cluster: Cluster, n_gpus: int, cfg: TrainConfig, *,
-             workload: Optional[Workload] = None,
-             quantization_bits: int = 32,
-             tracer: Optional[Tracer] = None) -> TrainingReport:
-    if workload is None:
-        from ..dnn import get_network
-        workload = Workload.from_spec(get_network(cfg.network))
-    return CNTKJob(cluster, n_gpus, workload, cfg, tracer=tracer,
-                   quantization_bits=quantization_bits).run()
+run_cntk = CNTKJob.launch

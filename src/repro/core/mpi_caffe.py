@@ -15,15 +15,12 @@ communication, regardless of scale.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, List
 
-from ..hardware import Cluster
-from ..io import DataLayer, DataReader, get_dataset, make_backend
-from ..mpi import MPIRuntime, MPIProfile, MV2, RankContext
-from ..sim import Event, Tracer
-from .config import TrainConfig
-from .metrics import TrainingReport
-from .workload import Workload
+from ..cuda import DeviceBuffer
+from ..mpi import MV2, RankContext
+from ..sim import Event
+from .job import TrainingJob
 
 __all__ = ["MPICaffeJob", "run_mpi_caffe", "partition_groups"]
 
@@ -55,39 +52,27 @@ def partition_groups(n_groups: int, n_stages: int) -> List[range]:
     return out
 
 
-class MPICaffeJob:
+class MPICaffeJob(TrainingJob):
     """Layer-partitioned (model-parallel) training."""
 
-    def __init__(self, cluster: Cluster, n_gpus: int, workload: Workload,
-                 cfg: TrainConfig, *,
-                 profile: MPIProfile = MPI_CAFFE_PROFILE,
-                 tracer: Optional[Tracer] = None):
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.cal = cluster.cal
-        self.n_gpus = n_gpus
-        self.workload = workload
-        self.cfg = cfg
-        self.runtime = MPIRuntime(cluster, profile)
-        self.tracer = tracer or Tracer(self.sim)
-        # Model parallel: the whole batch flows through every stage.
-        self.local_batch = cfg.global_batch(1)
-        self.sim_iterations = min(cfg.iterations, cfg.measure_iterations + 1)
-        self._iter_ends: List[float] = []
+    name = "MPI-Caffe"
+    phases = ("fwd", "bwd", "activation_comm", "update")
+    default_profile = MPI_CAFFE_PROFILE
 
-    def run(self) -> TrainingReport:
-        cfg = self.cfg
+    def _solver_batch(self) -> int:
+        # Model parallel: the whole batch flows through every stage.
+        return self.cfg.global_batch(1)
+
+    @property
+    def global_batch(self) -> int:
+        return self.local_batch
+
+    def refusal(self):
         wl = self.workload
-        report = TrainingReport(
-            framework="MPI-Caffe", network=wl.name, n_gpus=self.n_gpus,
-            iterations=cfg.iterations, total_time=0.0,
-            global_batch=self.local_batch)
         try:
-            stages = partition_groups(len(wl.groups), self.n_gpus)
+            partition_groups(len(wl.groups), self.n_gpus)
         except ValueError as exc:
-            report.failure = "unsupported"
-            report.notes = str(exc)
-            return report
+            return "unsupported", str(exc)
         # Memory: each stage holds its slice of weights + the batch's
         # activations for its layers (approximated as its share).
         per_stage = (3 * wl.param_bytes // self.n_gpus
@@ -95,45 +80,21 @@ class MPICaffeJob:
                      * (wl.activation_bytes_per_sample // self.n_gpus
                         + wl.input_bytes_per_sample))
         if per_stage > self.cluster.gpus[0].spec.memory_bytes:
-            report.failure = "oom"
-            return report
+            return "oom", ""
+        return None
 
-        comm = self.runtime.world(self.n_gpus)
-        dataset = get_dataset(cfg.dataset)
-        backend = make_backend("lmdb", self.sim, dataset, self.cal)
-        procs = self.runtime.spawn(comm, self._rank_program, backend,
-                                   stages)
-        self.sim.run()
-        for p in procs:
-            if not p.ok:  # pragma: no cover
-                raise p.value
-
-        ends = self._iter_ends
-        first = ends[0]
-        steady = ((ends[-1] - ends[0]) / (len(ends) - 1)
-                  if len(ends) > 1 else first)
-        report.total_time = (first + steady * (cfg.iterations - 1)
-                             if cfg.iterations != len(ends) else ends[-1])
-        report.phase_breakdown = {
-            p: self.tracer.total(p, "r0") / self.sim_iterations
-            for p in ("fwd", "bwd", "activation_comm", "update")}
-        return report
-
-    def _rank_program(self, ctx: RankContext, backend, stages
+    def _rank_program(self, ctx: RankContext, backend
                       ) -> Generator[Event, Any, None]:
-        wl = self.workload
         me = ctx.rank
         P = ctx.size
-        mine = stages[me]
+        groups = self.workload.groups
+        mine = partition_groups(len(groups), P)[me]
         lb = self.local_batch
-        eff = self.cal.batch_efficiency(max(1, lb))
         tr = self.tracer
         actor = f"r{me}"
-        groups = wl.groups
 
         # This stage's weights (updated locally; never communicated).
         my_param_bytes = sum(groups[g].param_bytes for g in mine)
-        from ..cuda import DeviceBuffer
         weights = DeviceBuffer(ctx.gpu, 3 * my_param_bytes, name="stage.w")
         # Activation staging buffers sized for the largest cut.
         cut_in = (groups[mine[0] - 1].out_activation_bytes * lb
@@ -143,14 +104,8 @@ class MPICaffeJob:
         act_in = DeviceBuffer(ctx.gpu, max(4, cut_in), name="act.in")
         act_out = DeviceBuffer(ctx.gpu, max(4, cut_out), name="act.out")
 
-        reader = None
-        layer = None
-        if me == 0:
-            reader = DataReader(self.sim, backend,
-                                batch_samples=max(1, lb),
-                                decode_bw=self.cal.decode_bw,
-                                name="mpicaffe.reader")
-            layer = DataLayer(reader)
+        layer = (self._data_layer(backend, "mpicaffe.reader")
+                 if me == 0 else None)
         yield from ctx.barrier()
 
         fwd_flops = sum(groups[g].fwd_flops_per_sample for g in mine)
@@ -161,17 +116,12 @@ class MPICaffeJob:
                 # ---- forward sweep -------------------------------------
                 if me == 0:
                     yield from layer.next_batch()
-                    yield self.sim.timeout(self.cal.cuda_copy_overhead)
-                    yield from ctx.gpu.pcie_down.transfer(
-                        lb * wl.input_bytes_per_sample)
+                    yield from self._upload_input(ctx.gpu)
                 else:
                     tr.begin(actor, "activation_comm")
                     yield from ctx.recv(me - 1, act_in, tag=tag)
                     tr.end(actor, "activation_comm")
-                tr.begin(actor, "fwd")
-                yield from ctx.cuda.launch(ctx.gpu,
-                                           flops=fwd_flops * lb / eff)
-                tr.end(actor, "fwd")
+                yield from self._compute(ctx.gpu, actor, "fwd", fwd_flops)
                 if me < P - 1:
                     tr.begin(actor, "activation_comm")
                     yield from ctx.send(me + 1, act_out, tag=tag,
@@ -183,10 +133,7 @@ class MPICaffeJob:
                     tr.begin(actor, "activation_comm")
                     yield from ctx.recv(me + 1, act_out, tag=tag + 1)
                     tr.end(actor, "activation_comm")
-                tr.begin(actor, "bwd")
-                yield from ctx.cuda.launch(ctx.gpu,
-                                           flops=bwd_flops * lb / eff)
-                tr.end(actor, "bwd")
+                yield from self._compute(ctx.gpu, actor, "bwd", bwd_flops)
                 if me > 0:
                     tr.begin(actor, "activation_comm")
                     yield from ctx.send(me - 1, act_in, tag=tag + 1,
@@ -194,25 +141,15 @@ class MPICaffeJob:
                     tr.end(actor, "activation_comm")
 
                 # ---- local weight update (no gradient exchange) ------------
-                tr.begin(actor, "update")
-                yield self.sim.timeout(self.cal.solver_iteration_overhead)
-                yield from ctx.cuda.launch(ctx.gpu, flops=my_param_bytes)
-                tr.end(actor, "update")
+                yield from self._update(ctx.gpu, actor, my_param_bytes)
                 if me == 0:
-                    self._iter_ends.append(self.sim.now)
+                    self._record_iter_end(it)
         finally:
-            if reader is not None:
-                reader.stop()
+            if layer is not None:
+                layer.reader.stop()
             weights.free()
             act_in.free()
             act_out.free()
 
 
-def run_mpi_caffe(cluster: Cluster, n_gpus: int, cfg: TrainConfig, *,
-                  workload: Optional[Workload] = None,
-                  tracer: Optional[Tracer] = None) -> TrainingReport:
-    if workload is None:
-        from ..dnn import get_network
-        workload = Workload.from_spec(get_network(cfg.network))
-    return MPICaffeJob(cluster, n_gpus, workload, cfg,
-                       tracer=tracer).run()
+run_mpi_caffe = MPICaffeJob.launch

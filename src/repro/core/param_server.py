@@ -15,15 +15,13 @@ the same missing bars.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator
 
-from ..hardware import Cluster
-from ..io import DataLayer, DataReader, get_dataset, make_backend
-from ..mpi import MPIRuntime, MPIProfile, MV2, RankContext
-from ..sim import Event, Tracer
-from .config import TrainConfig
-from .metrics import TrainingReport
-from .workload import SolverBuffers, Workload
+from ..mpi import MV2, RankContext
+from ..mpi.request import ANY_SOURCE
+from ..sim import Event
+from .job import TrainingJob
+from .workload import SolverBuffers
 
 __all__ = ["ParameterServerJob", "run_param_server"]
 
@@ -33,7 +31,7 @@ WORKING_COUNTS = {2, 4}
 HANGING_COUNTS = {8, 16}
 
 
-class ParameterServerJob:
+class ParameterServerJob(TrainingJob):
     """Parameter-server training (Inspur-Caffe-like).
 
     ``mode="sync"`` is the synchronous master-worker pattern of
@@ -45,81 +43,41 @@ class ParameterServerJob:
     train on parameters that may be several updates stale.
     """
 
-    def __init__(self, cluster: Cluster, n_gpus: int, workload: Workload,
-                 cfg: TrainConfig, *, profile: MPIProfile | str = MV2,
-                 tracer: Optional[Tracer] = None,
-                 emulate_limits: bool = True, mode: str = "sync"):
+    phases = ("fwd", "bwd", "aggregation", "update", "propagation")
+    default_profile = MV2
+
+    def __init__(self, *args, emulate_limits: bool = True,
+                 mode: str = "sync", **kwargs):
         if mode not in ("sync", "async"):
             raise ValueError(f"mode must be sync|async, got {mode!r}")
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.cal = cluster.cal
-        self.n_gpus = n_gpus
-        self.workload = workload
-        self.cfg = cfg
-        self.runtime = MPIRuntime(cluster, profile)
-        self.tracer = tracer or Tracer(self.sim)
         self.emulate_limits = emulate_limits
         self.mode = mode
-        self.local_batch = cfg.local_batch(n_gpus)
-        self.sim_iterations = min(cfg.iterations, cfg.measure_iterations + 1)
-        self._iter_ends: List[float] = []
+        super().__init__(*args, **kwargs)
 
     @property
-    def framework_name(self) -> str:
+    def name(self) -> str:
         return ("Inspur-Caffe" if self.mode == "sync"
                 else "Inspur-Caffe (async)")
 
-    def run(self) -> TrainingReport:
-        cfg = self.cfg
-        wl = self.workload
-        report = TrainingReport(
-            framework=self.framework_name, network=wl.name,
-            n_gpus=self.n_gpus,
-            iterations=cfg.iterations, total_time=0.0,
-            global_batch=cfg.global_batch(self.n_gpus))
-
-        if self.emulate_limits:
-            if self.n_gpus in HANGING_COUNTS:
-                report.failure = "hang"
-                report.notes = ("execution hangs after a few iterations "
-                                "(Section 6.4)")
-                return report
-            if self.n_gpus not in WORKING_COUNTS:
-                report.failure = "unsupported"
-                report.notes = "comparator only ran at 2 and 4 GPUs"
-                return report
-        if wl.memory_per_solver(self.local_batch) > \
-                self.cluster.gpus[0].spec.memory_bytes:
-            report.failure = "oom"
-            return report
-
-        comm = self.runtime.world(self.n_gpus)
-        dataset = get_dataset(cfg.dataset)
-        backend = make_backend("lmdb", self.sim, dataset, self.cal)
-        program = (self._rank_program if self.mode == "sync"
-                   else self._rank_program_async)
-        procs = self.runtime.spawn(comm, program, backend)
-        self.sim.run()
-        for p in procs:
-            if not p.ok:  # pragma: no cover
-                raise p.value
-
-        ends = self._iter_ends
-        first = ends[0]
-        steady = ((ends[-1] - ends[0]) / (len(ends) - 1)
-                  if len(ends) > 1 else first)
-        report.total_time = (first + steady * (cfg.iterations - 1)
-                             if cfg.iterations != len(ends) else ends[-1])
-        report.phase_breakdown = {
-            p: self.tracer.total(p, "r0") / self.sim_iterations
-            for p in ("fwd", "bwd", "aggregation", "update",
-                      "propagation")}
+    @property
+    def global_batch(self) -> int:
         if self.mode == "async":
             # Rank 0 is a dedicated server: only P-1 GPUs train.
-            report.global_batch = self.local_batch * (self.n_gpus - 1)
+            return self.local_batch * (self.n_gpus - 1)
+        return super().global_batch
+
+    def refusal(self):
+        if self.emulate_limits:
+            if self.n_gpus in HANGING_COUNTS:
+                return "hang", ("execution hangs after a few iterations "
+                                "(Section 6.4)")
+            if self.n_gpus not in WORKING_COUNTS:
+                return "unsupported", "comparator only ran at 2 and 4 GPUs"
+        return super().refusal()
+
+    def _finish(self, report):
+        if report.ok and self.mode == "async":
             report.notes = "dedicated server on rank 0; stale updates"
-        return report
 
     def _rank_program(self, ctx: RankContext, backend
                       ) -> Generator[Event, Any, None]:
@@ -127,42 +85,32 @@ class ParameterServerJob:
         training is exactly the design critique of Section 3.1 — here
         the server also trains, matching Inspur's synchronous mode, but
         every gradient funnels through its NIC/PCIe)."""
+        if self.mode == "async":
+            return (yield from self._rank_program_async(ctx, backend))
         wl = self.workload
         me = ctx.rank
         P = ctx.size
-        lb = self.local_batch
-        eff = self.cal.batch_efficiency(max(1, lb))
         tr = self.tracer
         actor = f"r{me}"
 
-        buffers = SolverBuffers(wl, ctx.gpu, per_group_params=False, per_group_grads=False,
-                                with_payload=False)
+        buffers = SolverBuffers(wl, ctx.gpu, per_group_params=False,
+                                per_group_grads=False, with_payload=False)
         scratch = (ctx.scratch_like(buffers.packed_grads, "ps.rx")
                    if me == 0 else None)
-        extra = lb * (wl.activation_bytes_per_sample
-                      + wl.input_bytes_per_sample)
+        extra = self.local_batch * (wl.activation_bytes_per_sample
+                                    + wl.input_bytes_per_sample)
         ctx.gpu.reserve(extra)
-        reader = DataReader(self.sim, backend, batch_samples=max(1, lb),
-                            decode_bw=self.cal.decode_bw,
-                            name=f"{actor}.reader")
-        layer = DataLayer(reader)
+        layer = self._data_layer(backend, f"{actor}.reader")
         yield from ctx.barrier()
 
         try:
             for it in range(self.sim_iterations):
                 yield from layer.next_batch()
-                yield self.sim.timeout(self.cal.cuda_copy_overhead)
-                yield from ctx.gpu.pcie_down.transfer(
-                    lb * wl.input_bytes_per_sample)
-
-                tr.begin(actor, "fwd")
-                yield from ctx.cuda.launch(
-                    ctx.gpu, flops=wl.fwd_flops_per_sample * lb / eff)
-                tr.end(actor, "fwd")
-                tr.begin(actor, "bwd")
-                yield from ctx.cuda.launch(
-                    ctx.gpu, flops=wl.bwd_flops_per_sample * lb / eff)
-                tr.end(actor, "bwd")
+                yield from self._upload_input(ctx.gpu)
+                yield from self._compute(ctx.gpu, actor, "fwd",
+                                         wl.fwd_flops_per_sample)
+                yield from self._compute(ctx.gpu, actor, "bwd",
+                                         wl.bwd_flops_per_sample)
 
                 tag = 100 + it % 100
                 if me == 0:
@@ -173,12 +121,7 @@ class ParameterServerJob:
                         yield from ctx.cuda.reduce_kernel(
                             buffers.packed_grads, scratch)
                     tr.end(actor, "aggregation")
-                    tr.begin(actor, "update")
-                    yield self.sim.timeout(
-                        self.cal.solver_iteration_overhead)
-                    yield from ctx.cuda.launch(ctx.gpu,
-                                               flops=wl.param_bytes)
-                    tr.end(actor, "update")
+                    yield from self._update(ctx.gpu, actor)
                     tr.begin(actor, "propagation")
                     reqs = [ctx.isend(dst, buffers.packed_params,
                                       tag=tag + 1000)
@@ -186,18 +129,17 @@ class ParameterServerJob:
                     for r in reqs:
                         yield r.wait()
                     tr.end(actor, "propagation")
-                    self._iter_ends.append(self.sim.now)
+                    self._record_iter_end(it)
                 else:
                     yield from ctx.send(0, buffers.packed_grads, tag=tag)
                     yield from ctx.recv(0, buffers.packed_params,
                                         tag=tag + 1000)
         finally:
-            reader.stop()
+            layer.reader.stop()
             buffers.free()
             if scratch is not None:
                 scratch.free()
             ctx.gpu.unreserve(extra)
-
 
     def _rank_program_async(self, ctx: RankContext, backend
                             ) -> Generator[Event, Any, None]:
@@ -205,14 +147,11 @@ class ParameterServerJob:
         taken away from training — the Section 3.1 critique); workers
         never wait for each other, and each gradient is applied on
         arrival (stale updates)."""
-        from ..mpi.request import ANY_SOURCE
         wl = self.workload
         me = ctx.rank
         P = ctx.size
         if P < 2:
             raise ValueError("async parameter server needs >= 2 ranks")
-        lb = self.local_batch
-        eff = self.cal.batch_efficiency(max(1, lb))
         tr = self.tracer
         actor = f"r{me}"
         GRAD_TAG, PARAM_TAG = 11, 13
@@ -244,46 +183,25 @@ class ParameterServerJob:
                 finally:
                     scratch.free()
             else:
-                reader = DataReader(self.sim, backend,
-                                    batch_samples=max(1, lb),
-                                    decode_bw=self.cal.decode_bw,
-                                    name=f"{actor}.reader")
-                layer = DataLayer(reader)
+                layer = self._data_layer(backend, f"{actor}.reader")
                 try:
                     for it in range(self.sim_iterations):
                         yield from layer.next_batch()
-                        yield self.sim.timeout(self.cal.cuda_copy_overhead)
-                        yield from ctx.gpu.pcie_down.transfer(
-                            lb * wl.input_bytes_per_sample)
-                        tr.begin(actor, "fwd")
-                        yield from ctx.cuda.launch(
-                            ctx.gpu,
-                            flops=wl.fwd_flops_per_sample * lb / eff)
-                        tr.end(actor, "fwd")
-                        tr.begin(actor, "bwd")
-                        yield from ctx.cuda.launch(
-                            ctx.gpu,
-                            flops=wl.bwd_flops_per_sample * lb / eff)
-                        tr.end(actor, "bwd")
+                        yield from self._upload_input(ctx.gpu)
+                        yield from self._compute(ctx.gpu, actor, "fwd",
+                                                 wl.fwd_flops_per_sample)
+                        yield from self._compute(ctx.gpu, actor, "bwd",
+                                                 wl.bwd_flops_per_sample)
                         yield from ctx.send(0, buffers.packed_grads,
                                             tag=GRAD_TAG)
                         yield from ctx.recv(0, buffers.packed_params,
                                             tag=PARAM_TAG)
                         if me == 1:
-                            self._iter_ends.append(self.sim.now)
+                            self._record_iter_end(it)
                 finally:
-                    reader.stop()
+                    layer.reader.stop()
         finally:
             buffers.free()
 
 
-def run_param_server(cluster: Cluster, n_gpus: int, cfg: TrainConfig, *,
-                     workload: Optional[Workload] = None,
-                     emulate_limits: bool = True, mode: str = "sync",
-                     tracer: Optional[Tracer] = None) -> TrainingReport:
-    if workload is None:
-        from ..dnn import get_network
-        workload = Workload.from_spec(get_network(cfg.network))
-    return ParameterServerJob(cluster, n_gpus, workload, cfg,
-                              tracer=tracer, mode=mode,
-                              emulate_limits=emulate_limits).run()
+run_param_server = ParameterServerJob.launch

@@ -25,25 +25,23 @@ transformations of the same iteration loop:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Generator, List, Optional
 
 from ..cuda import DeviceBuffer
-from ..faults import CrashRank, FaultInjector, FaultPlan, StallLink
-from ..hardware import Cluster
-from ..io import CheckpointStore, DataLayer, DataReader, get_dataset, \
-    make_backend
+from ..faults import CrashRank, FaultInjector, StallLink
+from ..io import CheckpointStore, DataLayer
 from ..mpi import (
-    CollectiveTimeout, CommRevoked, MPIRuntime, MPIProfile, MV2GDR,
-    RankContext, RankFailure, RequestTimeout, TransportTimeout,
+    CollectiveTimeout, CommRevoked, MV2GDR, RankContext, RankFailure,
+    RequestTimeout, TransportTimeout,
 )
 from ..mpi.collectives import (
     bcast_binomial, hierarchical_reduce, ibcast, reduce_binomial,
     tuned_reduce,
 )
-from ..sim import Channel, Event, Interrupt, Tracer
-from .config import TrainConfig
-from .metrics import FaultReport, TrainingReport
-from .workload import RealCompute, SolverBuffers, Workload
+from ..sim import Channel, Event, Interrupt
+from .job import TrainingJob
+from .metrics import FaultReport
+from .workload import SolverBuffers
 
 __all__ = ["SCaffeJob", "run_scaffe"]
 
@@ -51,54 +49,28 @@ __all__ = ["SCaffeJob", "run_scaffe"]
 _RECOVERABLE = (RankFailure, CommRevoked, TransportTimeout, RequestTimeout)
 
 
-class SCaffeJob:
-    """One S-Caffe training run on a cluster slice."""
+class SCaffeJob(TrainingJob):
+    """One S-Caffe training run on a cluster slice.
 
-    def __init__(self, cluster: Cluster, n_gpus: int, workload: Workload,
-                 cfg: TrainConfig, *,
-                 profile: MPIProfile | str = MV2GDR,
-                 adapter: Optional[RealCompute] = None,
-                 tracer: Optional[Tracer] = None,
-                 recorder=None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 telemetry=None):
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.cal = cluster.cal
-        if recorder is not None and recorder.sim is not self.sim:
-            raise ValueError("recorder belongs to a different simulator")
-        self.recorder = recorder
-        self.n_gpus = n_gpus
-        self.workload = workload
-        self.cfg = cfg
-        self.runtime = MPIRuntime(cluster, profile)
-        self.telemetry = telemetry
-        if telemetry is not None:
-            from ..telemetry import bind_cluster, bind_runtime
-            if telemetry.sim is None:
-                telemetry.attach(self.sim)
-            elif telemetry.sim is not self.sim:
-                raise ValueError(
-                    "telemetry session belongs to a different simulator")
-            bind_cluster(telemetry, cluster)
-            bind_runtime(telemetry, self.runtime)
-        self.straggler = None
-        if telemetry is not None and recorder is not None:
-            # Skew detection needs span timings, so the obs.straggler.*
-            # namespace exists only on profiled runs (the PVARs are
-            # snapshot-only; unprofiled telemetry output is unchanged).
-            from ..obs import StragglerDetector, bind_straggler_pvars
-            self.straggler = StragglerDetector(recorder)
-            bind_straggler_pvars(telemetry, self.straggler)
+    Beyond the skeleton's arguments: ``adapter`` (a
+    :class:`~repro.core.workload.RealCompute`) carries real gradients
+    through the simulated collectives, and ``fault_plan`` (a
+    :class:`~repro.faults.FaultPlan`) injects faults, which the job
+    survives by shrink-and-restart or reports as a typed failure.
+    """
+
+    phases = ("propagation", "fwd", "bwd", "aggregation", "update", "test")
+    root_actors = ("r0", "r0.helper")
+    default_profile = MV2GDR
+
+    def __init__(self, *args, adapter=None, fault_plan=None, **kwargs):
+        super().__init__(*args, **kwargs)
         self.adapter = adapter
-        self.tracer = tracer or Tracer(self.sim, enabled=True)
-        self.local_batch = cfg.local_batch(n_gpus)
-        self.sim_iterations = min(cfg.iterations, cfg.measure_iterations + 1)
-        self.injector = (FaultInjector(cluster, fault_plan)
+        self.injector = (FaultInjector(self.cluster, fault_plan)
                          if fault_plan is not None else None)
-        if telemetry is not None and self.injector is not None:
+        if self.telemetry is not None and self.injector is not None:
             from ..telemetry import bind_injector
-            bind_injector(telemetry, self.injector)
+            bind_injector(self.telemetry, self.injector)
         self.checkpoint = CheckpointStore(self.sim, self.cal)
         # Survivor agreement at loop end is only needed when a crash can
         # strand finished ranks; gating it on the plan keeps quiet-plan
@@ -110,110 +82,76 @@ class SCaffeJob:
         self._stall_possible = fault_plan is not None and any(
             isinstance(ev, StallLink) for ev in fault_plan.events)
         self._root_gpu = None
-        self._last_loss: Optional[float] = None
         self._recoveries = 0
         self._recovery_time = 0.0
-        self._iter_ends: List[float] = []
         self._io_stalls: List[float] = []
         self._test_results: List = []
 
+    @property
+    def name(self) -> str:
+        return f"S-Caffe ({self.cfg.variant})"
+
+    @property
+    def data_backend(self) -> str:
+        return self.cfg.data_backend
+
     # -- orchestration ------------------------------------------------------
-    def run(self) -> TrainingReport:
-        cfg = self.cfg
-        wl = self.workload
-        name = f"S-Caffe ({cfg.variant})"
-        report = TrainingReport(
-            framework=name, network=wl.name, n_gpus=self.n_gpus,
-            iterations=cfg.iterations,
-            total_time=0.0, global_batch=cfg.global_batch(self.n_gpus))
+    def refusal(self):
+        refused = super().refusal()
+        if refused is not None:
+            # Fig. 8: "Missing data points are for the cases where
+            # solvers ran out of memory" — a too-large effective batch
+            # per solver.
+            need = self.workload.memory_per_solver(self.local_batch)
+            capacity = self.cluster.gpus[0].spec.memory_bytes
+            refused = "oom", (f"needs {need >> 20} MiB/GPU, "
+                              f"capacity {capacity >> 20} MiB")
+        return refused
 
-        # Fig. 8: "Missing data points are for the cases where solvers
-        # ran out of memory" — a too-large effective batch per solver.
-        need = wl.memory_per_solver(self.local_batch)
-        capacity = self.cluster.gpus[0].spec.memory_bytes
-        if need > capacity:
-            report.failure = "oom"
-            report.notes = (f"needs {need >> 20} MiB/GPU, "
-                            f"capacity {capacity >> 20} MiB")
-            if self.injector is not None or cfg.checkpoint_interval:
-                report.faults = self._fault_report()
-            return report
+    def _spawn(self, backend):
+        procs = super()._spawn(backend)
+        gpus = self.comm.gpus
+        self._root_gpu = gpus[0]
+        if self.injector is not None:
+            if self._stall_possible:
+                # A stall can park a collective forever with no failing
+                # attempt for the retry loop to convert; the watchdog
+                # turns it into a typed outcome.
+                wd = self.runtime.ensure_watchdog()
+                if self.recorder is not None:
+                    wd.flight = self.recorder.flight
+                wd.arm(procs, gpus, nbytes=self.workload.param_bytes)
+            self.injector.arm(runtime=self.runtime, procs=procs, gpus=gpus,
+                              checkpoint=self.checkpoint)
+        return procs
 
-        comm = self.runtime.world(self.n_gpus)
-        self._root_gpu = comm.gpus[0]
-        dataset = get_dataset(cfg.dataset)
-        backend = make_backend(
-            "lustre" if cfg.data_backend in ("lustre", "imagedata")
-            else "lmdb", self.sim, dataset, self.cal)
+    def _typed_failure(self, report, exc) -> bool:
+        # Under fault injection a failed rank is an *outcome*, not a
+        # harness bug: report it as a typed failure so callers (the
+        # chaos gate, the CLI) see the outcome trichotomy, never a hang
+        # or an unexplained traceback.
+        if self.injector is None:  # pragma: no cover - defensive
+            return False
+        report.failure = type(exc).__name__
+        report.notes = str(exc)
+        report.simulated_time = self.sim.now
+        fl = self.recorder.flight if self.recorder is not None else None
+        if fl is not None:
+            # Ship the last-N-events timeline with the typed failure
+            # (the watchdog may have dumped already; this refreshes the
+            # post-mortem with the final state of the ring).
+            fl.dump(f"{type(exc).__name__}: {exc}")
+        return True
 
-        tel = self.telemetry
-        if tel is not None:
-            tel.install()
-        try:
-            procs = self.runtime.spawn(comm, self._rank_program, backend)
-            if self.injector is not None:
-                if self._stall_possible:
-                    # A stall can park a collective forever with no
-                    # failing attempt for the retry loop to convert;
-                    # the watchdog turns it into a typed outcome.
-                    wd = self.runtime.ensure_watchdog()
-                    if self.recorder is not None:
-                        wd.flight = self.recorder.flight
-                    wd.arm(procs, comm.gpus,
-                           nbytes=self.workload.param_bytes)
-                self.injector.arm(runtime=self.runtime, procs=procs,
-                                  gpus=comm.gpus,
-                                  checkpoint=self.checkpoint)
-            try:
-                self.sim.run()
-            except Exception as exc:
-                # Under fault injection a failed rank is an *outcome*,
-                # not a harness bug: report it as a typed failure so
-                # callers (the chaos gate, the CLI) see the outcome
-                # trichotomy, never a hang or an unexplained traceback.
-                if self.injector is None:  # pragma: no cover - defensive
-                    raise
-                report.failure = type(exc).__name__
-                report.notes = str(exc)
-                report.simulated_time = self.sim.now
-                report.faults = self._fault_report()
-                fl = (self.recorder.flight
-                      if self.recorder is not None else None)
-                if fl is not None:
-                    # Ship the last-N-events timeline with the typed
-                    # failure (the watchdog may have dumped already;
-                    # this refreshes the post-mortem with the final
-                    # state of the ring).
-                    fl.dump(f"{type(exc).__name__}: {exc}")
-                return report
-        finally:
-            if tel is not None:
-                tel.uninstall()
-        for p in procs:
-            if not p.ok:  # pragma: no cover - defensive
-                raise p.value
-
-        report.total_time = self._extrapolated_total()
-        report.simulated_time = self._iter_ends[-1]
-        report.phase_breakdown = self._per_iteration_phases()
-        report.test_results = list(self._test_results)
-        if self._io_stalls:
-            report.io_stall_per_iteration = (
-                sum(self._io_stalls) / len(self._io_stalls)
-                / self.sim_iterations)
-        if self.injector is not None or cfg.checkpoint_interval:
+    def _finish(self, report) -> None:
+        if report.ok:
+            report.test_results = list(self._test_results)
+            if self._io_stalls:
+                report.io_stall_per_iteration = (
+                    sum(self._io_stalls) / len(self._io_stalls)
+                    / self.sim_iterations)
+        if self.injector is not None or self.cfg.checkpoint_interval:
             report.faults = self._fault_report()
-        if self.recorder is not None:
-            from ..prof import build_profile
-            report.profile = build_profile(self.recorder)
-        if tel is not None:
-            from ..telemetry import training_summary
-            tel.finalize(self.sim.now)
-            span = report.simulated_time
-            samples = cfg.global_batch(self.n_gpus) * self.sim_iterations
-            report.telemetry = training_summary(
-                tel, samples_per_second=samples / span if span else 0.0)
-        return report
 
     def _fault_report(self) -> FaultReport:
         fr = FaultReport()
@@ -243,31 +181,6 @@ class SCaffeJob:
             fr.watchdog_escalations = wd.escalations
         return fr
 
-    def _extrapolated_total(self) -> float:
-        """Total time for cfg.iterations from the simulated window.
-
-        The first iteration carries warmup (cold readers, first bcast);
-        steady state is the mean of the remaining simulated iterations.
-        """
-        ends = self._iter_ends
-        assert len(ends) == self.sim_iterations
-        if self.cfg.iterations == len(ends):
-            return ends[-1]
-        first = ends[0]
-        steady = ((ends[-1] - ends[0]) / (len(ends) - 1)
-                  if len(ends) > 1 else first)
-        return first + steady * (self.cfg.iterations - 1)
-
-    def _per_iteration_phases(self) -> Dict[str, float]:
-        """Root-rank per-iteration phase times."""
-        out = {}
-        for phase in ("propagation", "fwd", "bwd", "aggregation",
-                      "update", "test"):
-            t = self.tracer.total(phase, "r0") \
-                + self.tracer.total(phase, "r0.helper")
-            out[phase] = t / self.sim_iterations
-        return out
-
     # -- the SPMD solver ----------------------------------------------------------
     def _rank_program(self, ctx: RankContext, backend
                       ) -> Generator[Event, Any, None]:
@@ -292,11 +205,7 @@ class SCaffeJob:
         ctx.gpu.reserve(extra)
 
         # Parallel reader design (Fig. 3): one reader + queue per solver.
-        reader = DataReader(self.sim, backend,
-                            batch_samples=max(1, self.local_batch),
-                            decode_bw=self.cal.decode_bw,
-                            name=f"{actor}.reader")
-        layer = DataLayer(reader)
+        layer = self._data_layer(backend, f"{actor}.reader")
 
         if with_payload and me == 0:
             buffers.write_params(self.adapter.get_params(0))
@@ -338,7 +247,7 @@ class SCaffeJob:
                     self.tracer.abandon(actor)
                     pending_exc = exc
         finally:
-            reader.stop()
+            layer.reader.stop()
             self._io_stalls.append(layer.stall_time)
             buffers.free()
             ctx.gpu.unreserve(extra)
@@ -356,20 +265,6 @@ class SCaffeJob:
                 if (cfg.checkpoint_interval
                         and (it + 1) % cfg.checkpoint_interval == 0):
                     yield from self._save_checkpoint(ctx, it + 1)
-
-    def _record_iter_end(self, it: int) -> None:
-        # Index-assigned so iterations replayed after a rollback
-        # overwrite their pre-crash timestamps.
-        ends = self._iter_ends
-        if it < len(ends):
-            ends[it] = self.sim.now
-        else:
-            ends.append(self.sim.now)
-        tel = self.sim.telemetry
-        if tel is not None:
-            tel.on_iteration(it, self.sim.now,
-                             self.cfg.global_batch(self.n_gpus),
-                             loss=self._last_loss)
 
     def _save_checkpoint(self, ctx: RankContext, completed: int
                          ) -> Generator[Event, Any, None]:
@@ -426,8 +321,6 @@ class SCaffeJob:
         wl = self.workload
         me = ctx.rank
         groups = wl.groups
-        lb = self.local_batch
-        eff = self.cal.batch_efficiency(max(1, lb))
         tr = self.tracer
 
         # ---- data propagation -------------------------------------------------
@@ -445,9 +338,7 @@ class SCaffeJob:
 
         # ---- input batch (reader queue + H2D upload) ----------------------------
         yield from layer.next_batch()
-        yield self.sim.timeout(self.cal.cuda_copy_overhead)
-        yield from ctx.gpu.pcie_down.transfer(
-            lb * wl.input_bytes_per_sample)
+        yield from self._upload_input(ctx.gpu)
 
         # ---- forward pass ----------------------------------------------------------
         for g, group in enumerate(groups):
@@ -463,11 +354,9 @@ class SCaffeJob:
                     # starts alongside layer g's compute.
                     bcast_reqs[g + 1] = ibcast(
                         ctx, buffers.param_bufs[g + 1], 0)
-            tr.begin(actor, "fwd")
-            yield self.sim.timeout(self.cal.layer_dispatch_overhead)
-            yield from ctx.cuda.launch(
-                ctx.gpu, flops=group.fwd_flops_per_sample * lb / eff)
-            tr.end(actor, "fwd")
+            yield from self._compute(ctx.gpu, actor, "fwd",
+                                     group.fwd_flops_per_sample,
+                                     dispatch=True)
 
         # ---- real math (payload mode): params in, gradients out ------------------
         if self.adapter is not None:
@@ -482,10 +371,8 @@ class SCaffeJob:
         if cfg.variant == "SC-OBR":
             yield from self._backward_overlapped(ctx, actor, buffers)
         else:
-            tr.begin(actor, "bwd")
-            yield from ctx.cuda.launch(
-                ctx.gpu, flops=wl.bwd_flops_per_sample * lb / eff)
-            tr.end(actor, "bwd")
+            yield from self._compute(ctx.gpu, actor, "bwd",
+                                     wl.bwd_flops_per_sample)
             tr.begin(actor, "aggregation")
             for buf in buffers.grad_bufs:
                 yield from self._reduce(ctx, buf)
@@ -493,11 +380,7 @@ class SCaffeJob:
 
         # ---- ApplyUpdate on the root solver -----------------------------------------
         if me == 0:
-            tr.begin(actor, "update")
-            yield self.sim.timeout(self.cal.solver_iteration_overhead)
-            # Momentum SGD touches each parameter a handful of times.
-            yield from ctx.cuda.launch(ctx.gpu, flops=wl.param_bytes)
-            tr.end(actor, "update")
+            yield from self._update(ctx.gpu, actor)
             if self.adapter is not None:
                 self.adapter.apply_update(0, buffers.read_grads())
                 buffers.write_params(self.adapter.get_params(0))
@@ -521,8 +404,6 @@ class SCaffeJob:
         main thread reduces layer n while the helper computes layer n-1
         (Section 4.3, Fig. 6)."""
         wl = self.workload
-        lb = self.local_batch
-        eff = self.cal.batch_efficiency(max(1, lb))
         tr = self.tracer
         done_ch = Channel(self.sim)
         helper_actor = f"{actor}.helper"
@@ -530,12 +411,9 @@ class SCaffeJob:
         def helper():
             try:
                 for g in reversed(range(len(wl.groups))):
-                    tr.begin(helper_actor, "bwd")
-                    yield self.sim.timeout(self.cal.layer_dispatch_overhead)
-                    yield from ctx.cuda.launch(
-                        ctx.gpu,
-                        flops=wl.groups[g].bwd_flops_per_sample * lb / eff)
-                    tr.end(helper_actor, "bwd")
+                    yield from self._compute(
+                        ctx.gpu, helper_actor, "bwd",
+                        wl.groups[g].bwd_flops_per_sample, dispatch=True)
                     yield done_ch.put(g)
             except Interrupt:
                 return  # main thread died or entered recovery
@@ -573,19 +451,4 @@ class SCaffeJob:
             yield from hierarchical_reduce(ctx, buf, recv, 0, config=design)
 
 
-def run_scaffe(cluster: Cluster, n_gpus: int, cfg: TrainConfig, *,
-               profile: MPIProfile | str = MV2GDR,
-               workload: Optional[Workload] = None,
-               adapter: Optional[RealCompute] = None,
-               tracer: Optional[Tracer] = None,
-               recorder=None,
-               fault_plan: Optional[FaultPlan] = None,
-               telemetry=None) -> TrainingReport:
-    """Convenience wrapper: build the workload from the config and run."""
-    if workload is None:
-        from ..dnn import get_network
-        workload = Workload.from_spec(get_network(cfg.network))
-    job = SCaffeJob(cluster, n_gpus, workload, cfg, profile=profile,
-                    adapter=adapter, tracer=tracer, recorder=recorder,
-                    fault_plan=fault_plan, telemetry=telemetry)
-    return job.run()
+run_scaffe = SCaffeJob.launch

@@ -15,19 +15,30 @@ from typing import Optional, Union
 from ..hardware import Cluster, make_cluster
 from ..mpi import MPIProfile, MV2GDR
 from ..sim import Simulator, Tracer
-from .caffe import run_caffe
-from .cntk import run_cntk
+from .caffe import CaffeJob
+from .cntk import CNTKJob
 from .config import TrainConfig
 from .metrics import TrainingReport
-from .mpi_caffe import run_mpi_caffe
-from .param_server import run_param_server
-from .scaffe import run_scaffe
+from .mpi_caffe import MPICaffeJob
+from .param_server import ParameterServerJob
+from .scaffe import SCaffeJob
 from .workload import RealCompute, Workload
 
 __all__ = ["train", "FRAMEWORK_NAMES"]
 
-FRAMEWORK_NAMES = ("scaffe", "caffe", "nvcaffe", "cntk", "inspur",
-                   "mpicaffe")
+#: Framework name -> (job class, fixed constructor arguments).
+JOBS = {
+    "scaffe": (SCaffeJob, {}),
+    "caffe": (CaffeJob, {}),
+    "nvcaffe": (CaffeJob, {"optimized": True}),
+    "cntk": (CNTKJob, {}),
+    "inspur": (ParameterServerJob, {}),
+    "mpicaffe": (MPICaffeJob, {}),
+}
+FRAMEWORK_NAMES = tuple(JOBS)
+_ALIASES = {"s": "scaffe", "nvidiacaffe": "nvcaffe", "inspurcaffe": "inspur",
+            "paramserver": "inspur", "ps": "inspur",
+            "modelparallel": "mpicaffe", "mp": "mpicaffe"}
 
 
 def train(framework: str, *, n_gpus: int,
@@ -44,9 +55,10 @@ def train(framework: str, *, n_gpus: int,
     Parameters
     ----------
     framework:
-        ``"scaffe"`` (variant chosen by ``config.variant``), ``"caffe"``
-        (BVLC baseline), ``"nvcaffe"`` (NVIDIA fork), ``"cntk"``, or
-        ``"inspur"`` (parameter server).
+        One of :data:`FRAMEWORK_NAMES`: ``"scaffe"`` (variant chosen by
+        ``config.variant``), ``"caffe"`` (BVLC baseline), ``"nvcaffe"``
+        (NVIDIA fork), ``"cntk"``, ``"inspur"`` (parameter server), or
+        ``"mpicaffe"`` (model parallel).
     cluster:
         A built :class:`~repro.hardware.Cluster`, or ``"A"``/``"B"`` to
         build the paper's testbed on a fresh simulator.
@@ -54,38 +66,28 @@ def train(framework: str, *, n_gpus: int,
         MPI runtime profile (S-Caffe only; comparators pin their own).
     adapter:
         Optional :class:`RealCompute` for payload-carrying runs
-        (S-Caffe only).
+        (S-Caffe only; any other framework raises ``ValueError``).
     recorder:
-        Optional :class:`~repro.prof.SpanRecorder` for causal profiling
-        (S-Caffe only); must be built on the cluster's simulator.
+        Optional :class:`~repro.prof.SpanRecorder` for causal profiling;
+        must be built on the cluster's simulator.
     telemetry:
         Optional :class:`~repro.telemetry.TelemetrySession` for MPI_T
-        introspection and metrics export (S-Caffe only).
+        introspection and metrics export.
     """
-    cfg = config or TrainConfig()
+    key = framework.lower().replace("-", "").replace("_", "")
+    key = _ALIASES.get(key, key)
+    if key not in JOBS:
+        raise KeyError(
+            f"unknown framework {framework!r}; choose from {FRAMEWORK_NAMES}")
+    job_cls, kwargs = JOBS[key]
+    kwargs = dict(kwargs, tracer=tracer, recorder=recorder,
+                  telemetry=telemetry)
+    if job_cls is SCaffeJob:
+        kwargs.update(profile=profile, adapter=adapter)
+    elif adapter is not None:
+        raise ValueError(f"adapter= carries real math through S-Caffe "
+                         f"only; {framework!r} runs timing-only")
     if isinstance(cluster, str):
         cluster = make_cluster(Simulator(), cluster)
-
-    key = framework.lower().replace("-", "").replace("_", "")
-    if key in ("scaffe", "s"):
-        return run_scaffe(cluster, n_gpus, cfg, profile=profile,
-                          workload=workload, adapter=adapter,
-                          tracer=tracer, recorder=recorder,
-                          telemetry=telemetry)
-    if key == "caffe":
-        return run_caffe(cluster, n_gpus, cfg, workload=workload,
-                         tracer=tracer)
-    if key in ("nvcaffe", "nvidiacaffe"):
-        return run_caffe(cluster, n_gpus, cfg, optimized=True,
-                         workload=workload, tracer=tracer)
-    if key == "cntk":
-        return run_cntk(cluster, n_gpus, cfg, workload=workload,
-                        tracer=tracer)
-    if key in ("inspur", "inspurcaffe", "paramserver", "ps"):
-        return run_param_server(cluster, n_gpus, cfg, workload=workload,
-                                tracer=tracer)
-    if key in ("mpicaffe", "modelparallel", "mp"):
-        return run_mpi_caffe(cluster, n_gpus, cfg, workload=workload,
-                             tracer=tracer)
-    raise KeyError(
-        f"unknown framework {framework!r}; choose from {FRAMEWORK_NAMES}")
+    return job_cls(cluster, n_gpus, workload, config or TrainConfig(),
+                   **kwargs).run()

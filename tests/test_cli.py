@@ -35,6 +35,12 @@ class TestParser:
             build_parser().parse_args(["train", "--framework",
                                        "tensorflow"])
 
+    def test_framework_choices_follow_the_trainer(self):
+        from repro.core import FRAMEWORK_NAMES
+        for name in FRAMEWORK_NAMES:
+            args = build_parser().parse_args(["train", "--framework", name])
+            assert args.framework == name
+
 
 class TestCommands:
     def test_table1(self, capsys):
@@ -96,6 +102,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "S-Caffe" in out
         assert "time/iteration" in out
+
+    def test_train_comparator_prints_live_status(self, capsys):
+        rc = main(["train", "--framework", "cntk", "--cluster", "A",
+                   "--gpus", "4", "--network", "cifar10_quick",
+                   "--dataset", "cifar10", "--batch-size", "64",
+                   "--iterations", "3"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "iter    1" in out and "samples/s" in out
+        assert "CNTK" in out
 
     def test_train_failure_exit_code(self, capsys):
         rc = main(["train", "--framework", "caffe", "--cluster", "B",

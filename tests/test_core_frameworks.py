@@ -4,7 +4,7 @@ and the paper's qualitative claims hold."""
 import pytest
 
 from repro import TrainConfig, train
-from repro.core import run_caffe, run_param_server
+from repro.core import FRAMEWORK_NAMES, CaffeJob, run_caffe, run_param_server
 from repro.hardware import cluster_a, cluster_b
 from repro.sim import Simulator
 
@@ -29,6 +29,27 @@ class TestTrainDispatch:
     def test_unknown_framework(self):
         with pytest.raises(KeyError):
             train("tensorflow", n_gpus=2, config=quick_cfg())
+
+    @pytest.mark.parametrize("fw", [f for f in FRAMEWORK_NAMES
+                                    if f != "scaffe"])
+    def test_adapter_rejected_outside_scaffe(self, fw):
+        # Comparators are timing-only: a real-math adapter would be
+        # silently dropped, so it is refused instead.
+        with pytest.raises(ValueError, match="adapter"):
+            train(fw, n_gpus=2, config=quick_cfg(), adapter=object())
+
+    def test_profile_rejected_without_mpi_runtime(self):
+        with pytest.raises(ValueError, match="no MPI runtime"):
+            CaffeJob(cluster_a(Simulator()), 2, None, quick_cfg(),
+                     profile="mv2")
+
+    def test_aliases_resolve_to_the_job_table(self):
+        r = train("Inspur-Caffe", n_gpus=2, cluster="A",
+                  config=quick_cfg())
+        assert r.framework == "Inspur-Caffe"
+        r = train("nvidia_caffe", n_gpus=2, cluster="A",
+                  config=quick_cfg())
+        assert r.framework == "NV-Caffe"
 
     def test_report_fields(self):
         r = train("scaffe", n_gpus=4, cluster="A", config=quick_cfg())

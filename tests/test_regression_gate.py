@@ -27,8 +27,12 @@ def _write_baseline(path, headline):
 
 @pytest.fixture
 def gate(monkeypatch, tmp_path):
-    """The gate wired to a tmp baseline and a fake (instant) subset."""
+    """The gate wired to a tmp baseline, a fake (instant) subset and a
+    tmp results directory (the committed BENCH_regression.json must
+    never receive the fake headline)."""
     monkeypatch.setattr(rg, "run_subset", _fake_headline)
+    for module in (rg, sys.modules["common"]):
+        monkeypatch.setattr(module, "RESULTS_DIR", str(tmp_path))
     monkeypatch.setattr(rg, "BASELINE",
                         _write_baseline(tmp_path / "base.json",
                                         _fake_headline()))
@@ -185,3 +189,26 @@ class TestCommittedBaselineRun:
         assert payload["format"] == "repro.obs.run/1"
         assert payload["runcard"]["network"] == "googlenet"
         assert payload["profile"]["cp_cells"]
+
+
+COMMITTED_RECORD = os.path.join(rg.RESULTS_DIR, "BENCH_regression.json")
+GATE_BASELINE = rg.BASELINE
+
+
+class TestCommittedBenchRecord:
+    def test_headline_keys_match_the_gate(self):
+        """The committed record is the gate's own output: a hand edit
+        (or a test writing fake numbers) changes its key set."""
+        with open(COMMITTED_RECORD) as f:
+            committed = json.load(f)
+        with open(GATE_BASELINE) as f:
+            baseline = json.load(f)
+        assert set(committed["headline"]) == set(baseline["headline"])
+
+    def test_gate_tests_leave_the_record_alone(self, gate, tmp_path):
+        with open(COMMITTED_RECORD) as f:
+            before = f.read()
+        assert gate.main(QUICK) == 0
+        assert os.path.exists(tmp_path / "BENCH_regression.json")
+        with open(COMMITTED_RECORD) as f:
+            assert f.read() == before
