@@ -8,38 +8,18 @@ exploits), plus the linear "flat" pattern a parameter server master is
 stuck with.
 """
 
-from common import (
-    KiB, MiB, emit, fmt_bytes, fmt_table, fmt_time, fresh_cluster, run_once,
-)
+from common import KiB, MiB, emit, fmt_bytes, fmt_table, fmt_time, run_once
 
-from repro.cuda import DeviceBuffer
-from repro.mpi import MPIRuntime, MV2GDR
-from repro.mpi.collectives import (
-    bcast_binomial, bcast_flat, bcast_scatter_allgather,
-)
+from repro.mpi.omb import CollPoint, time_point
 
 P = 64
 SIZES = (16 * KiB, 1 * MiB, 16 * MiB, 128 * MiB)
-ALGOS = {"binomial": bcast_binomial, "flat": bcast_flat,
-         "scatter_allgather": bcast_scatter_allgather}
-
-
-def one_point(algo_name: str, nbytes: int) -> float:
-    cluster = fresh_cluster("A")
-    rt = MPIRuntime(cluster, MV2GDR)
-    comm = rt.world(P)
-    algo = ALGOS[algo_name]
-
-    def program(ctx):
-        buf = DeviceBuffer(ctx.gpu, nbytes)
-        yield from algo(ctx, buf, 0)
-        return ctx.sim.now
-
-    return max(rt.execute(comm, program))
+ALGOS = ("binomial", "flat", "scatter_allgather")
 
 
 def run_ablation():
-    return {a: {s: one_point(a, s) for s in SIZES} for a in ALGOS}
+    return {a: {s: time_point(CollPoint(f"bcast_{a}", P, s)) for s in SIZES}
+            for a in ALGOS}
 
 
 def test_bcast_ablation(benchmark):

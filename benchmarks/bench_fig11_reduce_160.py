@@ -32,8 +32,6 @@ HR_CANDIDATES = ("flat", "CB-4", "CB-8", "CC-4", "CC-8")
 def one_point(design: str, nbytes: int) -> float:
     if design == "MV2":
         return osu_reduce("A", MV2, nbytes, P, design="flat")
-    if design == "flat":
-        return osu_reduce("A", MV2GDR, nbytes, P, design="flat")
     return osu_reduce("A", MV2GDR, nbytes, P, design=design)
 
 

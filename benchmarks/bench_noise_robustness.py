@@ -14,11 +14,10 @@ from common import MiB, emit, fmt_table, fmt_time, run_once
 
 from repro import TrainConfig
 from repro.core import run_scaffe
-from repro.cuda import DeviceBuffer
 from repro.faults import named_plan
 from repro.hardware import Calibration, cluster_a
-from repro.mpi import MPIRuntime, MV2, MV2GDR, OPENMPI
-from repro.mpi.collectives import reduce_binomial, tuned_reduce
+from repro.mpi import MV2, MV2GDR, OPENMPI
+from repro.mpi.omb import CollPoint, time_point
 from repro.sim import Simulator
 
 NOISY = Calibration(network_jitter=0.10, compute_jitter=0.10,
@@ -29,21 +28,10 @@ P = 160
 
 
 def reduce_point(profile, seed):
-    sim = Simulator(seed=seed)
-    cluster = cluster_a(sim, cal=NOISY)
-    rt = MPIRuntime(cluster, profile)
-    comm = rt.world(P)
-
-    def program(ctx):
-        s = DeviceBuffer(ctx.gpu, NBYTES)
-        r = DeviceBuffer(ctx.gpu, NBYTES) if ctx.rank == 0 else None
-        if profile is MV2GDR:
-            yield from tuned_reduce(ctx, s, r, 0)
-        else:
-            yield from reduce_binomial(ctx, s, r, 0)
-        return ctx.sim.now
-
-    return max(rt.execute(comm, program))
+    design = "tuned" if profile is MV2GDR else "flat"
+    return time_point(CollPoint("tuned_reduce", P, NBYTES, profile,
+                                cluster_kw={"cal": NOISY}, seed=seed,
+                                knobs={"design": design}))
 
 
 def _train_cfg(variant):

@@ -25,13 +25,11 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from common import KiB, MiB, emit, emit_json, fmt_bytes, fmt_table  # noqa: E402
 
-from repro.cuda import DeviceBuffer  # noqa: E402
 from repro.hardware import make_cluster  # noqa: E402
-from repro.mpi import MPIRuntime  # noqa: E402
-from repro.mpi.collectives import tuned_reduce  # noqa: E402
-from repro.nccl import nccl_allreduce, nccl_bcast  # noqa: E402
+from repro.mpi.omb import CollPoint, time_point  # noqa: E402
 from repro.sim import Simulator  # noqa: E402
 from repro.tune import tables  # noqa: E402
+from repro.tune.search import DISPATCHERS  # noqa: E402
 
 #: (backend, collective, cluster, P, nbytes).  The 12-process points at
 #: 1M/16M are covered by committed entries; the 64K points are controls
@@ -48,32 +46,14 @@ POINTS = (
 )
 
 
-def time_point(backend, collective, cluster_kind, P, nbytes, *,
-               tuned: bool) -> float:
-    sim = Simulator(seed=0)
-    cluster = make_cluster(sim, cluster_kind)
-    rt = MPIRuntime(cluster, backend)
-    comm = rt.world(P)
-
-    def program(ctx):
-        if collective == "reduce":
-            sendbuf = DeviceBuffer(ctx.gpu, nbytes)
-            recvbuf = (DeviceBuffer(ctx.gpu, nbytes)
-                       if ctx.rank == 0 else None)
-            yield from tuned_reduce(ctx, sendbuf, recvbuf, 0)
-        elif collective == "allreduce":
-            sendbuf = DeviceBuffer(ctx.gpu, nbytes)
-            recvbuf = DeviceBuffer(ctx.gpu, nbytes)
-            yield from nccl_allreduce(ctx, sendbuf, recvbuf)
-        else:
-            buf = DeviceBuffer(ctx.gpu, nbytes)
-            yield from nccl_bcast(ctx, buf, 0)
-        return ctx.sim.now
-
+def dispatch_time(backend, collective, cluster_kind, P, nbytes, *,
+                  tuned: bool) -> float:
+    point = CollPoint(DISPATCHERS[collective], P, nbytes, backend,
+                      cluster=cluster_kind, seed=0)
     if tuned:
-        return max(rt.execute(comm, program))
+        return time_point(point)
     with tables.tables_disabled():
-        return max(rt.execute(comm, program))
+        return time_point(point)
 
 
 def covered(backend, collective, cluster_kind, P, nbytes) -> bool:
@@ -89,10 +69,10 @@ def main() -> int:
     strict_wins = 0
     failures = []
     for backend, collective, cluster_kind, P, nbytes in POINTS:
-        default = time_point(backend, collective, cluster_kind, P, nbytes,
-                             tuned=False)
-        tuned = time_point(backend, collective, cluster_kind, P, nbytes,
-                           tuned=True)
+        default = dispatch_time(backend, collective, cluster_kind, P,
+                                nbytes, tuned=False)
+        tuned = dispatch_time(backend, collective, cluster_kind, P, nbytes,
+                              tuned=True)
         has_entry = covered(backend, collective, cluster_kind, P, nbytes)
         label = (f"{backend}.{collective} {cluster_kind} {P}p "
                  f"{fmt_bytes(nbytes)}")

@@ -14,12 +14,9 @@ import os
 from typing import Any, Callable, Dict
 
 from repro.analysis import format_bytes, format_table, format_time
-from repro.cuda import DeviceBuffer
 from repro.hardware import Cluster, make_cluster
-from repro.mpi import MPIProfile, MPIRuntime
-from repro.mpi.collectives import (
-    hierarchical_reduce, reduce_binomial, reduce_chain, tuned_reduce,
-)
+from repro.mpi import MPIProfile
+from repro.mpi.omb import CollPoint, time_point
 from repro.sim import Simulator
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -68,25 +65,9 @@ def osu_reduce(cluster_kind: str, profile: MPIProfile | str, nbytes: int,
     ``design``: "tuned" (HR Tuned), "flat" (profile's binomial), an HR
     label ("CB-8", "CC-4", ...), or "chain".
     """
-    cluster = fresh_cluster(cluster_kind)
-    rt = MPIRuntime(cluster, profile)
-    comm = rt.world(P)
-
-    def program(ctx):
-        sendbuf = DeviceBuffer(ctx.gpu, nbytes)
-        recvbuf = DeviceBuffer(ctx.gpu, nbytes) if ctx.rank == 0 else None
-        if design == "tuned":
-            yield from tuned_reduce(ctx, sendbuf, recvbuf, 0)
-        elif design == "flat":
-            yield from reduce_binomial(ctx, sendbuf, recvbuf, 0)
-        elif design == "chain":
-            yield from reduce_chain(ctx, sendbuf, recvbuf, 0)
-        else:
-            yield from hierarchical_reduce(ctx, sendbuf, recvbuf, 0,
-                                           config=design)
-        return ctx.sim.now
-
-    return max(rt.execute(comm, program))
+    return time_point(CollPoint("tuned_reduce", P, nbytes, profile,
+                                cluster=cluster_kind,
+                                knobs={"design": design}))
 
 
 def run_once(benchmark, fn: Callable, *args, **kwargs):

@@ -10,12 +10,9 @@ does: by offline sweeps on the target system.
 Run:  python examples/reduce_tuning.py
 """
 
-from repro.cuda import DeviceBuffer
 from repro.hardware import cluster_a
-from repro.mpi import MPIRuntime, MV2GDR
-from repro.mpi.collectives import (
-    autotune, hierarchical_reduce, reduce_binomial, reduce_chain,
-)
+from repro.mpi.collectives import autotune
+from repro.mpi.omb import CollPoint, time_point
 from repro.sim import Simulator
 
 P = 160
@@ -25,23 +22,8 @@ DESIGNS = ("flat", "chain", "CB-8", "CC-8")
 
 
 def measure(design: str, nbytes: int) -> float:
-    cluster = cluster_a(Simulator())
-    rt = MPIRuntime(cluster, MV2GDR)
-    comm = rt.world(P)
-
-    def program(ctx):
-        sendbuf = DeviceBuffer(ctx.gpu, nbytes)
-        recvbuf = DeviceBuffer(ctx.gpu, nbytes) if ctx.rank == 0 else None
-        if design == "flat":
-            yield from reduce_binomial(ctx, sendbuf, recvbuf, 0)
-        elif design == "chain":
-            yield from reduce_chain(ctx, sendbuf, recvbuf, 0)
-        else:
-            yield from hierarchical_reduce(ctx, sendbuf, recvbuf, 0,
-                                           config=design)
-        return ctx.sim.now
-
-    return max(rt.execute(comm, program))
+    return time_point(CollPoint("tuned_reduce", P, nbytes,
+                                knobs={"design": design}))
 
 
 def fmt(nbytes):

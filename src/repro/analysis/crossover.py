@@ -47,75 +47,19 @@ def backend_names() -> List[str]:
     return profile_names()
 
 
-# -- timing one (backend, algorithm, point) -----------------------------------
-
-def _menu(backend: str, collective: str,
-          ) -> List[Tuple[str, Callable]]:
-    """(algorithm name, program factory) menu for a backend.
-
-    The factory returns an SPMD program timing one collective call;
-    the program's return value is the rank's finish time.
-    """
-    from ..cuda import DeviceBuffer
-    from ..mpi.collectives import (
-        allreduce_reduce_bcast, allreduce_ring, bcast_binomial,
-        bcast_scatter_allgather,
-    )
-    from ..nccl import (
-        nccl_allreduce_ring, nccl_allreduce_tree, nccl_bcast_ring,
-        nccl_bcast_tree,
-    )
-
-    def two_buf(algo):
-        def factory(nbytes):
-            def program(ctx):
-                sendbuf = DeviceBuffer(ctx.gpu, nbytes)
-                recvbuf = DeviceBuffer(ctx.gpu, nbytes)
-                yield from algo(ctx, sendbuf, recvbuf)
-                return ctx.sim.now
-            return program
-        return factory
-
-    def one_buf(algo):
-        def factory(nbytes):
-            def program(ctx):
-                buf = DeviceBuffer(ctx.gpu, nbytes)
-                yield from algo(ctx, buf, 0)
-                return ctx.sim.now
-            return program
-        return factory
-
-    if backend == "nccl":
-        if collective == "allreduce":
-            return [("ring", two_buf(nccl_allreduce_ring)),
-                    ("tree", two_buf(nccl_allreduce_tree))]
-        return [("ring", one_buf(nccl_bcast_ring)),
-                ("tree", one_buf(nccl_bcast_tree))]
-    if collective == "allreduce":
-        return [("ring", two_buf(allreduce_ring)),
-                ("reduce_bcast", two_buf(allreduce_reduce_bcast))]
-    return [("binomial", one_buf(bcast_binomial)),
-            ("scatter_allgather", one_buf(bcast_scatter_allgather))]
-
-
-def _run(cluster_kind: str, backend: str, factory, P: int,
-         nbytes: int) -> float:
-    from ..hardware import make_cluster
-    from ..mpi import MPIRuntime
-    from ..sim import Simulator
-
-    cluster = make_cluster(Simulator(), cluster_kind)
-    rt = MPIRuntime(cluster, backend)
-    comm = rt.world(P)
-    return max(rt.execute(comm, factory(nbytes)))
-
+# -- timing one backend at one point -------------------------------------------
 
 def time_backend(cluster_kind: str, backend: str, collective: str,
                  P: int, nbytes: int) -> Tuple[float, str]:
-    """(best latency, winning algorithm) for one backend at one point."""
+    """(best latency, winning algorithm) for one backend at one point,
+    over the backend's menu (:data:`repro.mpi.omb.MENUS`); an unknown
+    ``collective`` raises ValueError."""
+    from ..mpi.omb import MENUS, CollPoint, time_point
+
     best, algo = float("inf"), "?"
-    for name, factory in _menu(backend, collective):
-        t = _run(cluster_kind, backend, factory, P, nbytes)
+    for name, algorithm in MENUS[backend == "nccl", collective]:
+        t = time_point(CollPoint(algorithm, P, nbytes, backend,
+                                 cluster=cluster_kind))
         if t < best:
             best, algo = t, name
     return best, algo

@@ -43,12 +43,12 @@ from ..faults import (
     LinkFlap, StallLink,
 )
 from ..faults.plan import CrashRank
-from ..hardware import cluster_a
 from ..mpi import (
-    CollectiveTimeout, CommRevoked, IntegrityError, MPIRuntime, RankFailure,
+    CollectiveTimeout, CommRevoked, IntegrityError, RankFailure,
     RequestTimeout, TransportTimeout,
 )
-from ..sim import Interrupt, Simulator
+from ..mpi.omb import spmd_program, universe
+from ..sim import Interrupt
 from . import harness
 from .harness import COLLECTIVES, Case, _PROFILES
 from .mutation import MutationOutcome
@@ -228,13 +228,12 @@ def run_chaos_case(case: ChaosCase) -> ChaosResult:
 
     hcase = Case(case.collective, P=case.P, nbytes=case.nbytes,
                  profile=case.profile, seed=case.seed)
-    sim = Simulator(seed=case.seed)
-    cluster = cluster_a(sim, n_nodes=1)
-    runtime = MPIRuntime(cluster, case.profile)
-    comm = runtime.world(case.P)
+    point = harness.case_point(hcase)
+    runtime, comm = universe(point)
+    sim, cluster = runtime.sim, runtime.cluster
     payloads = [rank_payload(case.seed, r, case.nbytes)
                 for r in range(case.P)]
-    program = harness._program(hcase, payloads)
+    program = spmd_program(point, payloads)
 
     # Every cell runs under a span recorder + flight ring (both
     # passive: simulated times are bit-identical either way), so a

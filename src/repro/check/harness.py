@@ -24,21 +24,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..cuda import DeviceBuffer
 from ..faults import DropMessages, FaultInjector, FaultPlan
-from ..hardware import cluster_a
-from ..mpi import MPIRuntime
-from ..mpi.collectives import (
-    allgather_ring, allreduce_reduce_bcast, allreduce_ring, bcast_binomial,
-    bcast_flat, bcast_scatter_allgather, block_partition, gather_binomial,
-    hierarchical_reduce, reduce_binomial, reduce_chain, reduce_scatter_ring,
-    scatter_binomial,
-)
-from ..nccl import (
-    nccl_allgather, nccl_allreduce_ring, nccl_allreduce_tree,
-    nccl_bcast_ring, nccl_bcast_tree, nccl_reduce_scatter, ring_order,
-)
-from ..sim import Simulator
+from ..mpi.collectives import block_partition
+from ..mpi.omb import CollPoint, rootless, spmd_program, universe
+from ..nccl import ring_order
 from .invariants import InvariantChecker
 from .reference import (
     allgather_reference, gather_reference, rank_payload, reduce_reference,
@@ -62,11 +51,6 @@ COLLECTIVES = (
     "nccl_bcast_ring", "nccl_bcast_tree",
     "nccl_allgather", "nccl_reduce_scatter",
 )
-
-#: Collectives whose result ignores ``root``.
-_ROOTLESS = {"allreduce_ring", "allgather_ring", "reduce_scatter_ring",
-             "nccl_allreduce_ring", "nccl_allreduce_tree",
-             "nccl_allgather", "nccl_reduce_scatter"}
 
 
 @dataclass(frozen=True)
@@ -162,128 +146,22 @@ def _root_for_rank(case: Case, rank: int) -> int:
     return case.root
 
 
-def _program(case: Case, payloads: List[np.ndarray]):
-    """Build the SPMD rank program for ``case``.
-
-    Each program returns the rank's checked output array (or None for
-    ranks with no checked output, e.g. non-roots of a plain reduce).
-    """
+def case_point(case: Case) -> CollPoint:
+    """The collective point ``case`` runs: Cluster-A with enough nodes
+    for ``case.P`` ranks, the case's knobs attached to the collectives
+    that take them."""
     coll = case.collective
-    n_elem = case.nbytes // 4
-
-    def reduce_like(algo):
-        def program(ctx):
-            root = _root_for_rank(case, ctx.rank)
-            sendbuf = DeviceBuffer.from_array(ctx.gpu, payloads[ctx.rank])
-            recvbuf = (DeviceBuffer.zeros(ctx.gpu, n_elem)
-                       if ctx.rank == root else None)
-            yield from algo(ctx, sendbuf, recvbuf, root)
-            return recvbuf.data.copy() if recvbuf is not None else None
-        return program
-
-    if coll == "reduce_binomial":
-        return reduce_like(reduce_binomial)
+    knobs: Dict[str, object] = {}
     if coll == "reduce_chain":
-        def chain(ctx, sendbuf, recvbuf, root):
-            yield from reduce_chain(ctx, sendbuf, recvbuf, root,
-                                    chunk_bytes=case.chunk_bytes,
-                                    window=case.window)
-        return reduce_like(chain)
-    if coll == "hierarchical_reduce":
-        def hr(ctx, sendbuf, recvbuf, root):
-            yield from hierarchical_reduce(ctx, sendbuf, recvbuf, root,
-                                           config=case.hr_config or "CB-4",
-                                           chunk_bytes=case.chunk_bytes)
-        return reduce_like(hr)
-
-    if coll in ("allreduce_ring", "allreduce_reduce_bcast"):
-        def program(ctx):
-            sendbuf = DeviceBuffer.from_array(ctx.gpu, payloads[ctx.rank])
-            recvbuf = DeviceBuffer.zeros(ctx.gpu, n_elem)
-            if coll == "allreduce_ring":
-                yield from allreduce_ring(ctx, sendbuf, recvbuf)
-            else:
-                yield from allreduce_reduce_bcast(
-                    ctx, sendbuf, recvbuf,
-                    root=_root_for_rank(case, ctx.rank))
-            return recvbuf.data.copy()
-        return program
-
-    if coll in ("bcast_binomial", "bcast_flat", "bcast_scatter_allgather"):
-        algo = {"bcast_binomial": bcast_binomial, "bcast_flat": bcast_flat,
-                "bcast_scatter_allgather": bcast_scatter_allgather}[coll]
-        def program(ctx):
-            root = _root_for_rank(case, ctx.rank)
-            buf = (DeviceBuffer.from_array(ctx.gpu, payloads[root])
-                   if ctx.rank == root
-                   else DeviceBuffer.zeros(ctx.gpu, n_elem))
-            yield from algo(ctx, buf, root)
-            return buf.data.copy()
-        return program
-
-    if coll in ("gather_binomial", "scatter_binomial"):
-        def program(ctx):
-            root = _root_for_rank(case, ctx.rank)
-            if coll == "gather_binomial" or ctx.rank == root:
-                buf = DeviceBuffer.from_array(ctx.gpu, payloads[ctx.rank])
-            else:
-                buf = DeviceBuffer.zeros(ctx.gpu, n_elem)
-            if coll == "gather_binomial":
-                yield from gather_binomial(ctx, buf, root)
-            else:
-                yield from scatter_binomial(ctx, buf, root)
-            return buf.data.copy()
-        return program
-
-    if coll == "allgather_ring":
-        def program(ctx):
-            buf = DeviceBuffer.from_array(ctx.gpu, payloads[ctx.rank])
-            yield from allgather_ring(ctx, buf)
-            return buf.data.copy()
-        return program
-
-    if coll == "reduce_scatter_ring":
-        def program(ctx):
-            sendbuf = DeviceBuffer.from_array(ctx.gpu, payloads[ctx.rank])
-            recvbuf = DeviceBuffer.zeros(ctx.gpu, n_elem)
-            yield from reduce_scatter_ring(ctx, sendbuf, recvbuf)
-            return recvbuf.data.copy()
-        return program
-
-    if coll in ("nccl_allreduce_ring", "nccl_allreduce_tree",
-                "nccl_reduce_scatter"):
-        algo = {"nccl_allreduce_ring": nccl_allreduce_ring,
-                "nccl_allreduce_tree": nccl_allreduce_tree,
-                "nccl_reduce_scatter": nccl_reduce_scatter}[coll]
-        def program(ctx):
-            sendbuf = DeviceBuffer.from_array(ctx.gpu, payloads[ctx.rank])
-            recvbuf = DeviceBuffer.zeros(ctx.gpu, n_elem)
-            yield from algo(ctx, sendbuf, recvbuf,
-                            chunk_bytes=case.chunk_bytes)
-            return recvbuf.data.copy()
-        return program
-
-    if coll in ("nccl_bcast_ring", "nccl_bcast_tree"):
-        algo = (nccl_bcast_ring if coll == "nccl_bcast_ring"
-                else nccl_bcast_tree)
-        def program(ctx):
-            root = _root_for_rank(case, ctx.rank)
-            buf = (DeviceBuffer.from_array(ctx.gpu, payloads[root])
-                   if ctx.rank == root
-                   else DeviceBuffer.zeros(ctx.gpu, n_elem))
-            yield from algo(ctx, buf, root, chunk_bytes=case.chunk_bytes)
-            return buf.data.copy()
-        return program
-
-    if coll == "nccl_allgather":
-        def program(ctx):
-            buf = DeviceBuffer.from_array(ctx.gpu, payloads[ctx.rank])
-            yield from nccl_allgather(ctx, buf,
-                                      chunk_bytes=case.chunk_bytes)
-            return buf.data.copy()
-        return program
-
-    raise ValueError(f"unknown collective {coll!r}")
+        knobs = {"chunk_bytes": case.chunk_bytes, "window": case.window}
+    elif coll == "hierarchical_reduce":
+        knobs = {"config": case.hr_config or "CB-4",
+                 "chunk_bytes": case.chunk_bytes}
+    elif coll.startswith("nccl_"):
+        knobs = {"chunk_bytes": case.chunk_bytes}
+    return CollPoint(coll, case.P, case.nbytes, case.profile,
+                     cluster_kw={"n_nodes": max(1, (case.P + 15) // 16)},
+                     seed=case.seed, root=case.root, knobs=knobs)
 
 
 def _verify(case: Case, payloads: List[np.ndarray],
@@ -371,13 +249,13 @@ def run_case(case: Case) -> CaseResult:
         res.failures.append("nbytes must be 4-byte aligned (float32)")
         return res
 
-    sim = Simulator(seed=case.seed)
-    cluster = cluster_a(sim, n_nodes=max(1, (case.P + 15) // 16))
-    runtime = MPIRuntime(cluster, case.profile)
-    comm = runtime.world(case.P)
+    point = case_point(case)
+    runtime, comm = universe(point)
+    sim, cluster = runtime.sim, runtime.cluster
     payloads = [rank_payload(case.seed, r, case.nbytes)
                 for r in range(case.P)]
-    program = _program(case, payloads)
+    program = spmd_program(point, payloads,
+                           lambda rank: _root_for_rank(case, rank))
 
     plan = _fault_plan(case)
     if plan is not None:
@@ -490,7 +368,7 @@ def generate_matrix(seed: int = 0, *, quick: bool = False,
         for coll in COLLECTIVES:
             P = rand_p()
             kw: Dict[str, object] = {}
-            if coll not in _ROOTLESS:
+            if not rootless(coll):
                 kw["root"] = int(rng.integers(0, P))
             if coll == "reduce_chain":
                 kw["chunk_bytes"] = int(
@@ -511,7 +389,7 @@ def generate_matrix(seed: int = 0, *, quick: bool = False,
         for coll in COLLECTIVES:
             P = rand_p()
             kw = {}
-            if coll not in _ROOTLESS:
+            if not rootless(coll):
                 kw["root"] = int(rng.integers(0, P))
             if coll == "reduce_chain":
                 kw["chunk_bytes"] = int(rng.choice([4, 64, 4096]))

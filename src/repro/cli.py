@@ -598,44 +598,17 @@ def _fmt_bytes(n: int) -> str:
     return str(n)
 
 
-def _osu_point(cluster_kind, profile, design, nbytes, procs) -> float:
-    from .cuda import DeviceBuffer
-    from .hardware import make_cluster
-    from .mpi import MPIRuntime
-    from .mpi.collectives import (
-        hierarchical_reduce, reduce_binomial, reduce_chain, tuned_reduce,
-    )
-    from .sim import Simulator
-
-    cluster = make_cluster(Simulator(), cluster_kind)
-    rt = MPIRuntime(cluster, profile)
-    comm = rt.world(procs)
-
-    def program(ctx):
-        sendbuf = DeviceBuffer(ctx.gpu, nbytes)
-        recvbuf = DeviceBuffer(ctx.gpu, nbytes) if ctx.rank == 0 else None
-        if design == "tuned":
-            yield from tuned_reduce(ctx, sendbuf, recvbuf, 0)
-        elif design == "flat":
-            yield from reduce_binomial(ctx, sendbuf, recvbuf, 0)
-        elif design == "chain":
-            yield from reduce_chain(ctx, sendbuf, recvbuf, 0)
-        else:
-            yield from hierarchical_reduce(ctx, sendbuf, recvbuf, 0,
-                                           config=design)
-        return ctx.sim.now
-
-    return max(rt.execute(comm, program))
-
-
 def _cmd_osu(args) -> int:
+    from .mpi.omb import CollPoint, time_point
+
     sizes = [_parse_size(s) for s in args.sizes.split(",") if s.strip()]
     print(f"# MPI_Reduce, {args.procs} procs, profile={args.profile}, "
           f"design={args.design}, Cluster-{args.cluster}")
     print(f"{'size':>8}  {'latency':>14}")
     for nbytes in sizes:
-        t = _osu_point(args.cluster, args.profile, args.design, nbytes,
-                       args.procs)
+        t = time_point(CollPoint("tuned_reduce", args.procs, nbytes,
+                                 args.profile, cluster=args.cluster,
+                                 knobs={"design": args.design}))
         print(f"{_fmt_bytes(nbytes):>8}  {t * 1e6:12.1f} us")
     return 0
 

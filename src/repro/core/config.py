@@ -31,7 +31,8 @@ class TrainConfig:
     #: S-Caffe co-design level: "SC-B" | "SC-OB" | "SC-OB-naive" | "SC-OBR".
     variant: str = "SC-OBR"
     #: Gradient-reduction design: "flat" (profile default binomial),
-    #: "tuned" (HR tuned selection), or an explicit HR label ("CB-8", ...).
+    #: "tuned" (HR tuned selection), "chain", or an explicit HR label
+    #: ("CB-8", ...).
     reduce_design: str = "tuned"
     #: Iterations actually simulated; total time extrapolates linearly to
     #: ``iterations`` (discrete-event runs are deterministic, so a short
@@ -67,6 +68,8 @@ class TrainConfig:
             raise ValueError("bad testing configuration")
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be >= 0")
+        from ..mpi.collectives import check_design
+        check_design(self.reduce_design)
 
     def local_batch(self, n_gpus: int) -> int:
         """Per-solver batch size under the configured scaling mode.

@@ -34,10 +34,7 @@ from ..mpi import (
     CollectiveTimeout, CommRevoked, MV2GDR, RankContext, RankFailure,
     RequestTimeout, TransportTimeout,
 )
-from ..mpi.collectives import (
-    bcast_binomial, hierarchical_reduce, ibcast, reduce_binomial,
-    tuned_reduce,
-)
+from ..mpi.collectives import bcast_binomial, ibcast, reduce_design
 from ..sim import Channel, Event, Interrupt
 from .job import TrainingJob
 from .metrics import FaultReport
@@ -442,13 +439,8 @@ class SCaffeJob(TrainingJob):
         """Gradient reduction to the root solver per the configured
         design; the root reduces in place (its contribution included)."""
         recv = buf if ctx.rank == 0 else None
-        design = self.cfg.reduce_design
-        if design == "flat":
-            yield from reduce_binomial(ctx, buf, recv, 0)
-        elif design == "tuned":
-            yield from tuned_reduce(ctx, buf, recv, 0)
-        else:
-            yield from hierarchical_reduce(ctx, buf, recv, 0, config=design)
+        yield from reduce_design(ctx, buf, recv, 0,
+                                 design=self.cfg.reduce_design)
 
 
 run_scaffe = SCaffeJob.launch

@@ -18,8 +18,9 @@ from .hierarchical import (
 from .reduce import ireduce, reduce, reduce_binomial, reduce_chain
 from .resilient import resilient_reduce, shrink_context
 from .tuning import (
-    CC_SCALING_LIMIT, CHAIN_THRESHOLD_BYTES, IDEAL_CHAIN_SIZE, ReducePlan,
-    TuningTable, autotune, select_reduce_plan, tuned_reduce,
+    CC_SCALING_LIMIT, CHAIN_THRESHOLD_BYTES, DESIGNS, IDEAL_CHAIN_SIZE,
+    ReducePlan, TuningTable, autotune, check_design, reduce_design,
+    select_reduce_plan, tuned_reduce,
 )
 
 __all__ = [
@@ -33,7 +34,7 @@ __all__ = [
     "HRConfig", "hierarchical_reduce", "hr_plan", "parse_hr_config",
     "ireduce", "reduce", "reduce_binomial", "reduce_chain",
     "resilient_reduce", "shrink_context",
-    "CC_SCALING_LIMIT", "CHAIN_THRESHOLD_BYTES", "IDEAL_CHAIN_SIZE",
-    "ReducePlan", "TuningTable", "autotune", "select_reduce_plan",
-    "tuned_reduce",
+    "CC_SCALING_LIMIT", "CHAIN_THRESHOLD_BYTES", "DESIGNS",
+    "IDEAL_CHAIN_SIZE", "ReducePlan", "TuningTable", "autotune",
+    "check_design", "reduce_design", "select_reduce_plan", "tuned_reduce",
 ]

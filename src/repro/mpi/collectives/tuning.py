@@ -21,12 +21,12 @@ from typing import Any, Generator, Optional
 from ...cuda import DeviceBuffer
 from ...sim import Event
 from ..communicator import RankContext
-from .hierarchical import hierarchical_reduce
+from .hierarchical import hierarchical_reduce, parse_hr_config
 from .reduce import reduce_binomial, reduce_chain
 
 __all__ = ["ReducePlan", "TuningTable", "autotune", "select_reduce_plan",
-           "tuned_reduce", "IDEAL_CHAIN_SIZE", "CC_SCALING_LIMIT",
-           "CHAIN_THRESHOLD_BYTES"]
+           "tuned_reduce", "reduce_design", "check_design", "DESIGNS",
+           "IDEAL_CHAIN_SIZE", "CC_SCALING_LIMIT", "CHAIN_THRESHOLD_BYTES"]
 
 #: Experimentally-ideal chain length (Section 5: "eight is the ideal P").
 IDEAL_CHAIN_SIZE = 8
@@ -37,6 +37,8 @@ CHAIN_THRESHOLD_BYTES = 8 << 20
 #: Beyond this process count two levels are not enough: use the paper's
 #: stated extension, chain-of-chain + binomial top (CCB).
 THREE_LEVEL_THRESHOLD = 512
+#: Named reduction designs :func:`reduce_design` runs besides HR labels.
+DESIGNS = ("tuned", "flat", "binomial", "chain")
 
 
 @dataclass(frozen=True)
@@ -88,30 +90,12 @@ def autotune(cluster_factory, P: int, sizes, designs, *,
     and the fastest design wins its size range.  ``designs`` entries are
     "flat", "chain", or HR labels ("CB-8", ...).
     """
-    from ...cuda import DeviceBuffer
-    from ..runtime import MPIRuntime
-    from .hierarchical import hierarchical_reduce
-    from .reduce import reduce_binomial, reduce_chain
+    from ..omb import CollPoint, time_point, universe
 
     def measure(design: str, nbytes: int) -> float:
-        cluster = cluster_factory()
-        rt = MPIRuntime(cluster, "mv2gdr")
-        comm = rt.world(P)
-
-        def program(ctx):
-            sendbuf = DeviceBuffer(ctx.gpu, nbytes)
-            recvbuf = (DeviceBuffer(ctx.gpu, nbytes)
-                       if ctx.rank == 0 else None)
-            if design == "flat":
-                yield from reduce_binomial(ctx, sendbuf, recvbuf, 0)
-            elif design == "chain":
-                yield from reduce_chain(ctx, sendbuf, recvbuf, 0)
-            else:
-                yield from hierarchical_reduce(ctx, sendbuf, recvbuf, 0,
-                                               config=design)
-            return ctx.sim.now
-
-        return max(rt.execute(comm, program))
+        point = CollPoint("tuned_reduce", P, nbytes,
+                          knobs={"design": design})
+        return time_point(point, universe(point, cluster_factory()))
 
     sizes = sorted(sizes)
     winners = []
@@ -200,36 +184,50 @@ def tuned_reduce(ctx: RankContext, sendbuf: DeviceBuffer,
     if chain_size is None:
         knobs = _table_knobs(ctx, sendbuf.nbytes)
         if knobs is not None:
-            yield from _dispatch_knobs(ctx, sendbuf, recvbuf, root, knobs)
+            yield from reduce_design(ctx, sendbuf, recvbuf, root,
+                                     design=knobs["design"],
+                                     chunk_bytes=knobs.get("chunk_bytes"))
             return
         # Default from the profile so the MPI_T cvar (coll.chain_size)
         # steers the decision table without threading an argument.
         chain_size = ctx.profile.chain_size
     plan = select_reduce_plan(ctx.size, sendbuf.nbytes,
                               chain_size=chain_size)
-    if plan.kind == "binomial":
-        yield from reduce_binomial(ctx, sendbuf, recvbuf, root)
-    elif plan.kind == "chain":
-        yield from reduce_chain(ctx, sendbuf, recvbuf, root)
-    else:
-        yield from hierarchical_reduce(ctx, sendbuf, recvbuf, root,
-                                       config=plan.hr_label)
+    yield from reduce_design(ctx, sendbuf, recvbuf, root, design=plan.label)
 
 
-def _dispatch_knobs(ctx: RankContext, sendbuf: DeviceBuffer,
-                    recvbuf: Optional[DeviceBuffer], root: int,
-                    knobs) -> Generator[Event, Any, None]:
-    """Execute a tuning-table entry: ``design`` is "binomial", "chain",
-    or an HR label; ``chunk_bytes`` (optional) feeds the chain pipelines
-    and is validated by the algorithms themselves."""
-    design = knobs.get("design")
-    chunk_bytes = knobs.get("chunk_bytes")
-    if design == "binomial":
-        yield from reduce_binomial(ctx, sendbuf, recvbuf, root)
-    elif design == "chain":
-        yield from reduce_chain(ctx, sendbuf, recvbuf, root,
-                                chunk_bytes=chunk_bytes)
-    else:
-        yield from hierarchical_reduce(ctx, sendbuf, recvbuf, root,
-                                       config=design,
-                                       chunk_bytes=chunk_bytes)
+def check_design(design: str) -> None:
+    """Raise ValueError unless :func:`reduce_design` can run ``design``."""
+    if design not in DESIGNS:
+        try:
+            parse_hr_config(design)
+        except ValueError:
+            raise ValueError(
+                f"unknown reduce design {design!r}: want one of "
+                f"{', '.join(DESIGNS)} or an HR label like 'CB-8'") from None
+
+
+def reduce_design(ctx: RankContext, sendbuf: DeviceBuffer,
+                  recvbuf: Optional[DeviceBuffer], root: int = 0, *,
+                  design: str = "tuned", chunk_bytes: Optional[int] = None,
+                  ) -> Generator[Event, Any, None]:
+    """MPI_Reduce under a named design: "tuned" (:func:`tuned_reduce`),
+    "flat"/"binomial", "chain", or an HR label ("CB-8", "CCB-4", ...).
+    ``chunk_bytes`` (optional) feeds the chain pipelines and is
+    validated by the algorithms themselves.  Tuning-table entries,
+    :func:`select_reduce_plan` decisions and every named-design caller
+    run through here.
+
+    Returns the chosen algorithm's generator rather than delegating to
+    it, so the dispatch adds no frame to every resumption of the
+    reduction (``yield from reduce_design(...)`` as with any algorithm).
+    """
+    if design == "tuned":
+        return tuned_reduce(ctx, sendbuf, recvbuf, root)
+    if design in ("flat", "binomial"):
+        return reduce_binomial(ctx, sendbuf, recvbuf, root)
+    if design == "chain":
+        return reduce_chain(ctx, sendbuf, recvbuf, root,
+                            chunk_bytes=chunk_bytes)
+    return hierarchical_reduce(ctx, sendbuf, recvbuf, root, config=design,
+                               chunk_bytes=chunk_bytes)

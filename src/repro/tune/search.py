@@ -106,22 +106,26 @@ def full_plan() -> Tuple[PlanPoint, ...]:
 
 # -- measurement harness -------------------------------------------------------
 
-def _bound_runtime(cluster_kind: str, backend: str):
-    """Fresh deterministic (sim, cluster, runtime, telemetry session)
-    with the CVAR namespace bound — every measurement is an independent
-    same-seed universe."""
-    from ..hardware import make_cluster
-    from ..mpi import MPIRuntime
-    from ..sim import Simulator
+#: The dispatcher each tuned (collective) table steers.
+DISPATCHERS = {"reduce": "tuned_reduce", "allreduce": "nccl_allreduce",
+               "bcast": "nccl_bcast"}
+
+
+def _bound(point: PlanPoint, nbytes: int, knobs: Dict[str, Any]):
+    """A fresh deterministic same-seed universe for one measurement,
+    with a telemetry session attached and the CVAR namespace bound:
+    (collective point, (runtime, comm), session)."""
+    from ..mpi.omb import CollPoint, universe
     from ..telemetry import TelemetrySession, bind_runtime
 
-    sim = Simulator(seed=SEED)
-    cluster = make_cluster(sim, cluster_kind)
-    rt = MPIRuntime(cluster, backend)
+    cpoint = CollPoint(DISPATCHERS[point.collective], point.P, nbytes,
+                       point.backend, cluster=point.cluster, seed=SEED,
+                       knobs=knobs)
+    rt, comm = universe(cpoint)
     session = TelemetrySession()
-    session.attach(sim)
+    session.attach(rt.sim)
     bind_runtime(session, rt)
-    return sim, cluster, rt, session
+    return cpoint, (rt, comm), session
 
 
 def _apply_cvars(session, assignments: Dict[str, Any]) -> None:
@@ -136,68 +140,6 @@ def _apply_cvars(session, assignments: Dict[str, Any]) -> None:
             raise RuntimeError(
                 f"cvar round-trip failed: {name}={value!r} read back "
                 f"as {got!r}")
-
-
-def _run(sim, rt, P: int, program, objective: str) -> float:
-    from ..prof import SpanRecorder, build_profile
-
-    recorder = SpanRecorder(sim) if objective == "critical-path" else None
-    comm = rt.world(P)
-    with tables_disabled():
-        finishes = rt.execute(comm, program)
-    if recorder is not None:
-        return build_profile(recorder).cp_length
-    return max(finishes)
-
-
-def _reduce_program(nbytes: int, design: Optional[str],
-                    chunk_bytes: Optional[int]):
-    """``design`` None = the profile-default ``tuned_reduce`` dispatch;
-    "binomial"/"chain" run through the flat ``reduce()`` dispatcher so
-    the ``coll.flat_reduce_algorithm`` cvar is load-bearing; HR labels
-    run :func:`hierarchical_reduce` directly."""
-    from ..cuda import DeviceBuffer
-    from ..mpi.collectives import (
-        hierarchical_reduce, reduce, tuned_reduce,
-    )
-
-    def program(ctx):
-        sendbuf = DeviceBuffer(ctx.gpu, nbytes)
-        recvbuf = DeviceBuffer(ctx.gpu, nbytes) if ctx.rank == 0 else None
-        if design is None:
-            yield from tuned_reduce(ctx, sendbuf, recvbuf, 0)
-        elif design == "chain" and chunk_bytes is not None:
-            yield from reduce(ctx, sendbuf, recvbuf, 0,
-                              chunk_bytes=chunk_bytes)
-        elif design in ("binomial", "chain"):
-            yield from reduce(ctx, sendbuf, recvbuf, 0)
-        else:
-            yield from hierarchical_reduce(ctx, sendbuf, recvbuf, 0,
-                                           config=design,
-                                           chunk_bytes=chunk_bytes)
-        return ctx.sim.now
-
-    return program
-
-
-def _nccl_program(collective: str, nbytes: int):
-    """Algorithm selection always flows through the size-based
-    dispatcher — candidates steer it via the ``nccl.tree_threshold``
-    cvar, so the dispatcher itself is what gets measured."""
-    from ..cuda import DeviceBuffer
-    from ..nccl import nccl_allreduce, nccl_bcast
-
-    def program(ctx):
-        if collective == "allreduce":
-            sendbuf = DeviceBuffer(ctx.gpu, nbytes)
-            recvbuf = DeviceBuffer(ctx.gpu, nbytes)
-            yield from nccl_allreduce(ctx, sendbuf, recvbuf)
-        else:
-            buf = DeviceBuffer(ctx.gpu, nbytes)
-            yield from nccl_bcast(ctx, buf, 0)
-        return ctx.sim.now
-
-    return program
 
 
 @dataclass(frozen=True)
@@ -216,19 +158,29 @@ class Candidate:
 
 def _measure(point: PlanPoint, nbytes: int, cand: Optional[Candidate],
              objective: str) -> float:
-    sim, _cluster, rt, session = _bound_runtime(point.cluster,
-                                                point.backend)
-    design = chunk = None
+    """One candidate (None: the profile-default dispatch) at one size.
+
+    Reduce candidates replay their table knobs (``design``,
+    ``chunk_bytes``) through the design dispatcher.  NCCL algorithm
+    selection always flows through the size-based dispatcher —
+    candidates steer it via the ``nccl.tree_threshold`` cvar, so the
+    dispatcher itself is what gets measured.
+    """
+    from ..mpi.omb import time_point
+    from ..prof import SpanRecorder, build_profile
+
+    knobs = (cand.knobs_dict()
+             if cand is not None and point.collective == "reduce" else {})
+    cpoint, world, session = _bound(point, nbytes, knobs)
     if cand is not None:
         _apply_cvars(session, dict(cand.cvars))
-        kd = cand.knobs_dict()
-        design = kd.get("design")
-        chunk = kd.get("chunk_bytes")
-    if point.collective == "reduce":
-        program = _reduce_program(nbytes, design, chunk)
-    else:
-        program = _nccl_program(point.collective, nbytes)
-    return _run(sim, rt, point.P, program, objective)
+    recorder = (SpanRecorder(world[0].sim)
+                if objective == "critical-path" else None)
+    with tables_disabled():
+        latency = time_point(cpoint, world)
+    if recorder is not None:
+        return build_profile(recorder).cp_length
+    return latency
 
 
 def _default_with_floor(point: PlanPoint, nbytes: int,
@@ -237,21 +189,16 @@ def _default_with_floor(point: PlanPoint, nbytes: int,
     attached; return (default, frozen-slack floor).  The floor is the
     projected makespan with every communication class infinitely fast —
     no knob setting can beat it, so it prunes whole points."""
+    from ..mpi.omb import time_point
     from ..prof import SpanRecorder, build_profile
 
-    sim, _cluster, rt, _session = _bound_runtime(point.cluster,
-                                                 point.backend)
-    recorder = SpanRecorder(sim)
-    if point.collective == "reduce":
-        program = _reduce_program(nbytes, None, None)
-    else:
-        program = _nccl_program(point.collective, nbytes)
-    comm = rt.world(point.P)
+    cpoint, world, _session = _bound(point, nbytes, {})
+    recorder = SpanRecorder(world[0].sim)
     with tables_disabled():
-        finishes = rt.execute(comm, program)
+        latency = time_point(cpoint, world)
     report = build_profile(recorder)
     default = (report.cp_length if objective == "critical-path"
-               else max(finishes))
+               else latency)
     big = 1e9
     floor = report.what_if({"pcie": big, "ib": big, "host": big})
     return default, floor
@@ -298,9 +245,8 @@ def _nccl_candidates(point: PlanPoint, nbytes: int) -> List[Candidate]:
 def _estimator(point: PlanPoint):
     """Closed-form cost model over the transport's uncontended
     estimates, used to rank candidates before any full simulation."""
-    _sim, cluster, rt, _session = _bound_runtime(point.cluster,
-                                                 point.backend)
-    gpus = cluster.gpus[:point.P]
+    _cpoint, (rt, _comm), _session = _bound(point, 0, {})
+    gpus = rt.cluster.gpus[:point.P]
     est = rt.transport.estimate
     P = point.P
 

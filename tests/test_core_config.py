@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    FRAMEWORKS, TrainConfig, TrainingReport, Workload, speedup, table1_rows,
+    FRAMEWORKS, TrainConfig, TrainingReport, Workload, run_scaffe, speedup,
+    table1_rows,
 )
 from repro.core.workload import LayerGroup, RealCompute, SolverBuffers
 from repro.dnn import build_mlp, get_network
@@ -43,6 +44,20 @@ class TestTrainConfig:
             TrainConfig(data_backend="hdf5")
         with pytest.raises(ValueError):
             TrainConfig(iterations=2, measure_iterations=5)
+
+    def test_reduce_design_checked_before_simulation(self):
+        for design in ("tuned", "flat", "binomial", "chain", "CB-8",
+                       "CCB-4"):
+            assert TrainConfig(reduce_design=design).reduce_design == design
+        with pytest.raises(ValueError, match="unknown reduce design"):
+            TrainConfig(reduce_design="bogus")
+
+    def test_chain_design_trains(self):
+        cfg = TrainConfig(network="cifar10_quick", dataset="cifar10",
+                          batch_size=128, iterations=2,
+                          measure_iterations=1, reduce_design="chain")
+        report = run_scaffe(cluster_a(Simulator(), n_nodes=1), 4, cfg)
+        assert report.ok and report.total_time > 0
 
     def test_derive(self):
         cfg = TrainConfig(batch_size=64)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import time_backend
 from repro.hardware import DEFAULT_CALIBRATION, cluster_a, cluster_b
 from repro.mpi import MV2GDR, OPENMPI
 from repro.mpi.omb import (
@@ -64,6 +65,10 @@ class TestBandwidth:
     def test_validation(self):
         with pytest.raises(ValueError):
             osu_bw(cf_a, 1024, window=0)
+        with pytest.raises(ValueError, match="two distinct ranks"):
+            osu_bw(cf_a, 1024, ranks=(0, 0))
+        with pytest.raises(ValueError, match="two distinct ranks"):
+            osu_bw(cf_a, 1024, ranks=(0, 1, 2))
 
 
 class TestCollectives:
@@ -95,3 +100,15 @@ class TestSweep:
         assert sorted(table) == sizes
         vals = [table[s] for s in sizes]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+class TestMenus:
+    @pytest.mark.parametrize("backend", ["mv2gdr", "nccl"])
+    @pytest.mark.parametrize("collective", ["reduce", "allgather"])
+    def test_time_backend_rejects_unknown_collective(self, backend,
+                                                     collective):
+        """Only menu collectives are timed; anything else used to time a
+        bcast silently."""
+        with pytest.raises(ValueError,
+                           match="known collectives: allreduce, bcast"):
+            time_backend("A", backend, collective, 8, 64 << 10)
