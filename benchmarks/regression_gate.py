@@ -28,11 +28,18 @@ real behaviour change.  CI runs this script, which
 7. re-runs the quick ``bench_simcore`` workloads and fails if host
    wall-clock throughput (ref-events/sec) drops below the floor in
    ``baselines/simcore.json`` — the same check the ``sim-bench`` CI job
-   applies, so a kernel slow-down cannot land through either door.
+   applies, so a kernel slow-down cannot land through either door,
+8. runs one quick traced pass of the end-to-end benchmark's
+   ``train_weak`` workload (``e2e/run.py``) and prints its per-layer
+   host-time ledger (the ``share.*`` rows, e.g. ``share.sim.kernel``),
+   so a change's effect on each layer shows in the gate log; the run
+   file is ``results/e2e_ledger.json``.  The gate fails only if the
+   pass itself fails or one of its correctness checks does.
 
 Each gate has a distinct exit code (the first failing gate wins):
 ``2`` missing baseline, ``3`` headline comparison, ``4`` tuning
-tables, ``5`` chaos trichotomy, ``6`` wall-clock floor.
+tables, ``5`` chaos trichotomy, ``6`` wall-clock floor, ``7`` ledger
+run.
 
 Refresh the baselines after an intentional change with::
 
@@ -46,6 +53,7 @@ import argparse
 import json
 import os
 import shutil
+import subprocess
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -66,6 +74,11 @@ EXIT_HEADLINE = 3
 EXIT_TUNE = 4
 EXIT_CHAOS = 5
 EXIT_WALLCLOCK = 6
+EXIT_LEDGER = 7
+
+#: The end-to-end benchmark runner and the workload the ledger traces.
+E2E_RUN = os.path.join(os.path.dirname(__file__), "e2e", "run.py")
+LEDGER_WORKLOAD = "train_weak"
 
 #: Relative tolerance for headline comparisons.  The runs are
 #: deterministic, so this only absorbs intentional small calibration
@@ -158,7 +171,7 @@ def _profiled_train_run() -> dict:
     report = run_scaffe(cluster, 16, cfg, recorder=recorder)
     assert report.ok, report.failure
     card = make_runcard(report, cfg, cluster_kind="A", n_gpus=16,
-                        profile="mv2gdr", seed=TRAIN_SEED, sim=sim)
+                        profile="mv2gdr", seed=TRAIN_SEED)
     return run_payload(card, report.profile,
                        StragglerDetector(recorder).report())
 
@@ -374,6 +387,33 @@ def check_chaos_gate() -> list:
     return problems
 
 
+def run_ledger() -> list:
+    """One quick traced e2e pass; prints its ``share.*`` rows, largest
+    first.
+
+    Host shares are noisy, so they are printed, not gated: the problems
+    returned are a failed run and failed correctness checks only.
+    """
+    out = os.path.join(RESULTS_DIR, "e2e_ledger.json")
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    proc = subprocess.run(
+        [sys.executable, E2E_RUN, "--workload", LEDGER_WORKLOAD,
+         "--repeat", "1", "--trace", "1", "--out", out],
+        capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = proc.stderr.strip().splitlines()[-1:] or ["(no stderr)"]
+        return [f"e2e ledger run exited {proc.returncode}: {tail[0]}"]
+    with open(out) as f:
+        record = json.load(f)["runs"][0]
+    shares = sorted(((k, v) for k, v in record.get("per_layer", {}).items()
+                     if k.startswith("share.")), key=lambda kv: -kv[1])
+    print(f"host-time ledger: {LEDGER_WORKLOAD}, one traced pass "
+          "(% of profiled self time)")
+    for name, value in shares:
+        print(f"  {name:24s} {value:6.2f}%")
+    return [f"e2e ledger check failed: {e}" for e in record["errors"]]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--update-baseline", action="store_true",
@@ -431,6 +471,7 @@ def main(argv=None) -> int:
         gates.append(("chaos", check_chaos_gate(), EXIT_CHAOS))
     if not args.no_wallclock:
         gates.append(("wallclock", check_simcore_floor(), EXIT_WALLCLOCK))
+    gates.append(("ledger", run_ledger(), EXIT_LEDGER))
 
     failing = [(name, probs, code) for name, probs, code in gates if probs]
     if failing:
@@ -444,7 +485,8 @@ def main(argv=None) -> int:
     print(f"regression gate: {len(baseline['headline'])} headline "
           f"numbers within {REL_TOL * 100:.0f}% of baseline; "
           f"tuning tables regenerate byte-identically; "
-          f"chaos trichotomy holds; simulator-core wall-clock above floor")
+          f"chaos trichotomy holds; simulator-core wall-clock above floor; "
+          f"e2e ledger pass ran clean")
     return 0
 
 

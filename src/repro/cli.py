@@ -455,7 +455,7 @@ def _cmd_profile(args) -> int:
     straggler = StragglerDetector(recorder).report()
     card = make_runcard(report, cfg, cluster_kind=args.cluster,
                         n_gpus=args.gpus, profile=args.profile,
-                        seed=args.seed, sim=sim)
+                        seed=args.seed)
     if args.json_out == "-":
         print(json.dumps(run_payload(card, prof, straggler),
                          indent=2, sort_keys=True))

@@ -157,9 +157,9 @@ class CollectiveWatchdog:
             # Stall gate: at this instant the monitor's own wake has
             # been consumed, so an otherwise-empty schedule means no
             # future event can ever resume the parked processes — a
-            # certain deadlock, in either scheduler mode.  Anything
-            # still scheduled (a pending fault driver, a live transfer,
-            # a backoff timer) means the job can progress: re-arm.
+            # certain deadlock.  Anything still scheduled (a pending
+            # fault driver, a live transfer, a backoff timer) means the
+            # job can progress: re-arm.
             if sim.peek() != float("inf"):
                 continue
             self.timeouts += 1

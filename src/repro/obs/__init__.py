@@ -3,8 +3,8 @@
 Built on the span/telemetry substrate, four pieces:
 
 - :class:`RunCard` — the canonical manifest of one profiled run
-  (seed, cluster, profile + CVARs, tuning-table digest, scheduler
-  mode, PVAR snapshot, headline numbers);
+  (seed, cluster, profile + CVARs, tuning-table digest, PVAR
+  snapshot, headline numbers);
 - :func:`diff_runs` / :class:`RunDiff` — the differential
   critical-path engine behind ``repro diff A.json B.json``: the
   makespan delta between two saved runs, attributed into an

@@ -4,11 +4,11 @@ Two profile numbers are only comparable when everything that *could*
 have moved them is pinned down.  A RunCard captures exactly that
 closure for a simulated run — seed, cluster, workload shape, MPI
 profile name plus its live CVAR values, the digest of the committed
-tuning tables the dispatchers consulted, the scheduler mode, a PVAR
-snapshot, and the headline numbers — serialized as canonical JSON
-(sorted keys, indent 2, trailing newline, same convention as the
-committed tuning tables) so two cards for the same configuration are
-byte-identical and any difference is a real configuration delta.
+tuning tables the dispatchers consulted, a PVAR snapshot, and the
+headline numbers — serialized as canonical JSON (sorted keys, indent
+2, trailing newline, same convention as the committed tuning tables)
+so two cards for the same configuration are byte-identical and any
+difference is a real configuration delta.
 
 ``repro profile --json`` writes a *run file*: a RunCard plus the
 machine-readable :meth:`~repro.prof.ProfileReport.to_json_dict`
@@ -78,8 +78,6 @@ class RunCard:
     cvars: Dict[str, Any] = field(default_factory=dict)
     #: SHA-256 of the committed tuning tables ("none" when absent).
     tuning_digest: str = "none"
-    #: Event-scheduler mode ("fast" calendar queue or "slowpath" heap).
-    scheduler: str = "fast"
     #: End-of-run PVAR snapshot (empty without telemetry).
     pvars: Dict[str, Any] = field(default_factory=dict)
     #: Headline numbers (makespan, shares, total_time, ...).
@@ -96,6 +94,8 @@ class RunCard:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "RunCard":
+        # Unknown keys (newer fields, or retired ones such as the old
+        # ``scheduler`` mode) are dropped, so older run files still load.
         names = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in payload.items() if k in names})
 
@@ -136,6 +136,7 @@ def make_runcard(report, cfg, *, cluster_kind: str, n_gpus: int,
     ``report`` is the :class:`~repro.core.TrainingReport` (its
     ``.profile`` supplies the headline numbers), ``profile`` the
     :class:`~repro.mpi.MPIProfile` (or its name) the run used.
+    ``sim`` is accepted for existing callers and not read.
     """
     from ..mpi.profiles import get_profile
     if isinstance(profile, str):
@@ -169,7 +170,6 @@ def make_runcard(report, cfg, *, cluster_kind: str, n_gpus: int,
         profile=profile.name,
         cvars=cvars,
         tuning_digest=tuning_tables_digest(),
-        scheduler=("slowpath" if sim is not None and sim._slow else "fast"),
         pvars=telemetry.pvar_snapshot() if telemetry is not None else {},
         headline=headline,
     )

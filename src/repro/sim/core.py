@@ -19,28 +19,23 @@ sub-protocols.
 
 Scheduler
 ---------
-Events are totally ordered by ``(time, priority, insertion order)``.
-The default scheduler realizes that order with two tiers instead of one
-flat heap (see ``docs/PERFORMANCE.md``):
+Events are totally ordered by ``(time, priority, insertion order)``,
+realized with two structures (see ``docs/PERFORMANCE.md``):
 
 - a **zero-delay FIFO lane** for URGENT events (``succeed``/``fail``/
   interrupts/process kicks — always scheduled *at the current instant*),
   so same-instant signalling never touches the heap, and
-- a **bucket queue** for timeouts: events sharing an exact trigger time
-  share one FIFO bucket, and a small heap orders the *distinct* times.
-  Insertion order within a bucket is creation order, so the realized
-  order is identical to the flat heap's ``(time, priority, seq)`` sort.
+- one ``heapq`` of ``(time, seq, event)`` for every timed event.
+  ``seq`` is the global insertion counter, so events sharing a trigger
+  time fire in creation order.
 
 Processed ``Event``/``Timeout`` objects that are no longer referenced
 anywhere are recycled through a free list (``sys.getrefcount`` guarded,
 so an object some condition or test still holds is never reused).
 
-Setting ``REPRO_SIM_SLOWPATH=1`` (or ``Simulator(slowpath=True)``)
-selects the reference scheduler — one flat ``heapq`` ordered by
-``(time, priority, seq)`` with no lane, buckets, or pooling.  Both
-schedulers realize the same total order, so same-seed runs are
-event-for-event identical (``tests/test_sim_fastpath.py`` asserts this
-across the conformance matrix).
+The test suite keeps a flat ``(time, priority, seq)`` heap with no
+lane and no pooling as an oracle (``tests/heap_oracle.py``); seeded
+runs on it are event-for-event identical to this scheduler.
 
 Signalling protocol
 -------------------
@@ -51,9 +46,9 @@ therefore *continue inline* through already-completed events (a resource
 grant that was immediately available, a request completed before it was
 waited on) via a trampoline in :meth:`Process._resume`.  This removes
 the per-hop "schedule URGENT, take a loop turn, resume" round-trip from
-every uncontended fast path while leaving all simulated times unchanged;
-it applies identically in both scheduler modes.  Failed events are
-always scheduled so an unhandled failure still surfaces in the loop.
+every uncontended fast path while leaving all simulated times unchanged.
+Failed events are always scheduled so an unhandled failure still
+surfaces in the loop.
 
 Example
 -------
@@ -72,9 +67,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import random
 import sys
+from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..telemetry.metrics import MetricsRegistry
@@ -94,12 +89,6 @@ __all__ = [
 
 #: Sentinel for an event that has not been triggered yet.
 PENDING = object()
-
-#: Priority used for events scheduled by :meth:`Event.succeed` — they run
-#: before timeouts scheduled at the same instant so that zero-latency
-#: signalling (condition flags, queue hand-offs) is processed promptly.
-URGENT = 0
-NORMAL = 1
 
 #: Free-list caps (enough to cover a training iteration's churn without
 #: pinning unbounded memory on pathological runs).  Sized above the
@@ -222,13 +211,14 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
+        # ``not >=`` rather than ``<``: NaN must fail the check too.
+        if not delay >= 0:
             raise ValueError(f"negative delay {delay!r}")
         super().__init__(sim)
         self.delay = delay
         self._ok = True
         self._value = value
-        sim._schedule(self, NORMAL, delay)
+        sim._schedule(self, delay)
 
 
 class _EagerKick:
@@ -438,30 +428,18 @@ class Simulator:
     Notes
     -----
     Determinism: ties at the same timestamp are broken by scheduling
-    priority and then by insertion order, so repeated runs of the same
-    program produce identical traces (a property the tests rely on).
-
-    ``slowpath=True`` (or env ``REPRO_SIM_SLOWPATH=1``) selects the
-    reference flat-heap scheduler; see the module docstring.
+    priority (the URGENT lane first) and then by insertion order, so
+    repeated runs of the same program produce identical traces (a
+    property the tests rely on).
     """
 
-    def __init__(self, seed: Optional[int] = None,
-                 slowpath: Optional[bool] = None):
-        if slowpath is None:
-            slowpath = os.environ.get("REPRO_SIM_SLOWPATH", "") not in ("", "0")
-        self._slow = bool(slowpath)
+    def __init__(self, seed: Optional[int] = None):
         self._now = 0.0
-        # Reference scheduler: one flat heap of (time, prio, seq, event).
+        # URGENT FIFO lane (zero-delay signalling at the current instant)
+        # and one heap of (time, seq, event) for every timed event.
+        self._lane: deque = deque()
         self._heap: list = []
         self._seq = itertools.count()
-        # Fast scheduler: URGENT FIFO lane + bucket queue over distinct
-        # trigger times (_times is a heap of keys into _buckets; _bidx is
-        # the drain cursor into the current front bucket).
-        from collections import deque
-        self._lane: Any = deque()
-        self._times: list = []
-        self._buckets: dict = {}
-        self._bidx = 0
         # Free lists for processed, unreferenced Event/Timeout objects.
         self._epool: list = []
         self._tpool: list = []
@@ -559,7 +537,7 @@ class Simulator:
         pool = self._tpool
         if not pool:
             return Timeout(self, delay, value)
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"negative delay {delay!r}")
         t = pool.pop()
         t.callbacks = []
@@ -569,21 +547,11 @@ class Simulator:
         t._defused = False
         t._ctx_span = None
         t.delay = delay
-        # _schedule(NORMAL) inlined — this is the hottest factory.
+        # _schedule() inlined — this is the hottest factory.
         rec = self.recorder
         if rec is not None and self._active_process is not None:
             t._ctx_span = rec.last_span_of(self._active_process)
-        if self._slow:
-            heapq.heappush(
-                self._heap, (self._now + delay, NORMAL, next(self._seq), t))
-            return t
-        when = self._now + delay
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = [t]
-            heapq.heappush(self._times, when)
-        else:
-            bucket.append(t)
+        heapq.heappush(self._heap, (self._now + delay, next(self._seq), t))
         return t
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
@@ -594,7 +562,7 @@ class Simulator:
         (``now + (when - now)``) could land one float ULP off the
         per-chunk schedule being replicated.
         """
-        if when < self._now:
+        if not when >= self._now:
             raise ValueError(
                 f"timeout_at({when!r}) is in the past (now={self._now!r})")
         pool = self._tpool
@@ -615,15 +583,7 @@ class Simulator:
         rec = self.recorder
         if rec is not None and self._active_process is not None:
             t._ctx_span = rec.last_span_of(self._active_process)
-        if self._slow:
-            heapq.heappush(self._heap, (when, NORMAL, next(self._seq), t))
-            return t
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = [t]
-            heapq.heappush(self._times, when)
-        else:
-            bucket.append(t)
+        heapq.heappush(self._heap, (when, next(self._seq), t))
         return t
 
     def process(self, gen: Generator, name: str = "",
@@ -651,75 +611,38 @@ class Simulator:
     def _push_urgent(self, event: Event) -> None:
         """Enqueue an URGENT event at the current instant (caller sets
         ``_scheduled``).  URGENT events are only ever created *now*, so
-        the FIFO lane realizes their ``(now, 0, seq)`` heap order."""
+        the FIFO lane realizes their ``(now, URGENT, seq)`` order."""
         rec = self.recorder
         if (rec is not None and event._ctx_span is None
                 and self._active_process is not None):
             # Capture the scheduling process's latest span so whoever
             # this event wakes knows what it causally waited on.
             event._ctx_span = rec.last_span_of(self._active_process)
-        if self._slow:
-            heapq.heappush(
-                self._heap, (self._now, URGENT, next(self._seq), event))
-        else:
-            self._lane.append(event)
+        self._lane.append(event)
 
-    def _schedule(self, event: Event, priority: int,
-                  delay: float = 0.0) -> None:
+    def _schedule(self, event: Event, delay: float) -> None:
+        """Enqueue ``event`` to fire ``delay`` seconds from now."""
         event._scheduled = True
-        if priority == URGENT and delay == 0.0:
-            self._push_urgent(event)
-            return
         rec = self.recorder
         if (rec is not None and event._ctx_span is None
                 and self._active_process is not None):
             event._ctx_span = rec.last_span_of(self._active_process)
-        if self._slow:
-            heapq.heappush(
-                self._heap,
-                (self._now + delay, priority, next(self._seq), event))
-            return
-        t = self._now + delay
-        bucket = self._buckets.get(t)
-        if bucket is None:
-            self._buckets[t] = [event]
-            heapq.heappush(self._times, t)
-        else:
-            bucket.append(event)
+        heapq.heappush(self._heap, (self._now + delay, next(self._seq), event))
 
     def _pop(self) -> Event:
         """Remove and return the next event in ``(time, priority, seq)``
-        order, advancing the clock (fast scheduler)."""
-        lane = self._lane
-        if lane:
-            return lane.popleft()
-        t = self._times[0]
-        bucket = self._buckets[t]
-        i = self._bidx
-        event = bucket[i]
-        bucket[i] = None
-        i += 1
-        if i == len(bucket):
-            heapq.heappop(self._times)
-            del self._buckets[t]
-            self._bidx = 0
-        else:
-            self._bidx = i
-        self._now = t
+        order, advancing the clock."""
+        if self._lane:
+            return self._lane.popleft()
+        if not self._heap:
+            raise IndexError("step from an empty schedule")
+        self._now, _seq, event = heapq.heappop(self._heap)
         return event
 
     # -- execution -----------------------------------------------------------
     def step(self) -> Event:
         """Process exactly one event; returns it (trace/debug hook)."""
-        if self._slow:
-            when, _prio, _seq, event = heapq.heappop(self._heap)
-            if when < self._now:  # pragma: no cover - defensive
-                raise SimulationError("time ran backwards")
-            self._now = when
-        else:
-            if not self._lane and not self._times:
-                raise IndexError("step from an empty schedule")
-            event = self._pop()
+        event = self._pop()
         self._event_count += 1
         callbacks, event.callbacks = event.callbacks, None
         for fn in callbacks:
@@ -741,27 +664,13 @@ class Simulator:
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule is empty or the clock passes ``until``."""
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:
             raise ValueError(f"until={until} is in the past (now={self._now})")
-        if self._slow:
-            heap = self._heap
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    self._now = until
-                    return
-                self.step()
-            if until is not None:
-                self._now = until
-            return
-        self._run_fast(until)
-
-    def _run_fast(self, until: Optional[float]) -> None:
-        # The hot loop of every benchmark: locals for the schedule
-        # tiers, the observers fused into one None-check each, event
+        # The hot loop of every benchmark: locals for the lane and the
+        # heap, the observers fused into one None-check each, event
         # dispatch inlined (identical to step(), minus call overhead).
         lane = self._lane
-        times = self._times
-        buckets = self._buckets
+        heap = self._heap
         heappop = heapq.heappop
         getrefcount = sys.getrefcount
         epool = self._epool
@@ -772,23 +681,11 @@ class Simulator:
             while True:
                 if lane:
                     event = lane.popleft()
-                elif times:
-                    t = times[0]
-                    if until is not None and t > until:
+                elif heap:
+                    if until is not None and heap[0][0] > until:
                         self._now = until
                         return
-                    bucket = buckets[t]
-                    i = self._bidx
-                    event = bucket[i]
-                    bucket[i] = None
-                    i += 1
-                    if i == len(bucket):
-                        heappop(times)
-                        del buckets[t]
-                        self._bidx = 0
-                    else:
-                        self._bidx = i
-                    self._now = t
+                    self._now, _seq, event = heappop(heap)
                 else:
                     break
                 count += 1
@@ -816,8 +713,6 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._slow:
-            return self._heap[0][0] if self._heap else float("inf")
         if self._lane:
             return self._now
-        return self._times[0] if self._times else float("inf")
+        return self._heap[0][0] if self._heap else float("inf")

@@ -250,11 +250,12 @@ class BandwidthLink:
     def __init__(self, sim: Simulator, *, bandwidth: float, latency: float,
                  name: str = "", per_message_overhead: float = 0.0,
                  jitter: float = 0.0):
-        if bandwidth <= 0:
+        # Written so that NaN fails every check.
+        if not bandwidth > 0:
             raise ValueError("bandwidth must be positive")
-        if latency < 0 or per_message_overhead < 0:
+        if not (latency >= 0 and per_message_overhead >= 0):
             raise ValueError("latency/overhead must be >= 0")
-        if jitter < 0:
+        if not jitter >= 0:
             raise ValueError("jitter must be >= 0")
         self.sim = sim
         self.bandwidth = bandwidth  # bytes / second

@@ -143,8 +143,8 @@ class Gauge(Metric):
 class _HistState:
     __slots__ = ("counts", "count", "sum")
 
-    def __init__(self, n_buckets: int):
-        self.counts = [0] * (n_buckets + 1)  # +1 for the +Inf bucket
+    def __init__(self, n_bounds: int):
+        self.counts = [0] * (n_bounds + 1)  # +1 for the +Inf bucket
         self.count = 0
         self.sum = 0.0
 

@@ -1,7 +1,7 @@
 """Chaos-conformance gate: the outcome trichotomy, its mutation
 self-test, case-spec round-trips, and two interplay regressions —
 faulty links vs the batched-train fast path, and fault-plan determinism
-across scheduler modes."""
+against the heap-scheduler oracle."""
 
 import os
 
@@ -17,6 +17,8 @@ from repro.faults import PLAN_NAMES, named_plan
 from repro.hardware import make_cluster
 from repro.hardware.faults import FaultyLink, MessageDropped
 from repro.sim import BandwidthLink, Simulator
+
+from .heap_oracle import HeapSimulator
 
 
 class TestChaosMatrix:
@@ -151,12 +153,12 @@ class TestFaultyLinkFastPath:
 
 class TestPlanDeterminismAcrossSchedulers:
     """Regression: every named fault plan must produce an identical
-    outcome under the slow-path scheduler and the calendar-queue fast
-    path — fault delivery may not depend on scheduler internals."""
+    outcome on the scheduler and on the flat-heap oracle — fault
+    delivery may not depend on scheduler internals."""
 
     @staticmethod
-    def _run(name, slowpath):
-        sim = Simulator(seed=7, slowpath=slowpath)
+    def _run(name, sim_cls):
+        sim = sim_cls(seed=7)
         cluster = make_cluster(sim, "A")
         plan = named_plan(name, seed=3, horizon=2.0, n_ranks=8,
                           n_nodes=len(cluster.nodes),
@@ -179,7 +181,7 @@ class TestPlanDeterminismAcrossSchedulers:
 
     @pytest.mark.parametrize("name", PLAN_NAMES)
     def test_named_plan_identical_in_both_modes(self, name):
-        slow = self._run(name, slowpath=True)
-        fast = self._run(name, slowpath=False)
+        slow = self._run(name, HeapSimulator)
+        fast = self._run(name, Simulator)
         assert slow == fast
         assert slow[5] is not None  # the fault report was produced

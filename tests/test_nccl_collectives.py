@@ -1,12 +1,11 @@
 """The simulated NCCL backend end to end: byte-exact collectives on the
-shared runtime substrate, both scheduler modes, telemetry, faults, and
-the profile registry (ISSUE 8)."""
-
-import os
+shared runtime substrate, the heap-scheduler oracle, telemetry, faults,
+and the profile registry (ISSUE 8)."""
 
 import numpy as np
 import pytest
 
+import repro.mpi.omb
 from repro.check import Case, run_case
 from repro.check.reference import rank_payload, reduce_reference
 from repro.cuda import DeviceBuffer
@@ -17,6 +16,8 @@ from repro.nccl import nccl_allreduce
 from repro.sim import Simulator
 from repro.telemetry import TelemetrySession
 from repro.telemetry.instrument import bind_runtime
+
+from .heap_oracle import HeapSimulator
 
 NCCL_COLLECTIVES = ("nccl_allreduce_ring", "nccl_allreduce_tree",
                     "nccl_bcast_ring", "nccl_bcast_tree",
@@ -45,16 +46,13 @@ class TestByteExactness:
             r = run_case(case)
             assert r.ok, r.describe()
 
-    def test_slowpath_scheduler_agrees(self, collective):
-        """The flat-heapq slow path must produce the same verdict and
-        the same event count (event-for-event identical schedules)."""
+    def test_slowpath_scheduler_agrees(self, collective, monkeypatch):
+        """The flat-heapq oracle must produce the same verdict and the
+        same event count (event-for-event identical schedules)."""
         case = _cases(collective)[1]
         fast = run_case(case)
-        os.environ["REPRO_SIM_SLOWPATH"] = "1"
-        try:
-            slow = run_case(case)
-        finally:
-            os.environ.pop("REPRO_SIM_SLOWPATH", None)
+        monkeypatch.setattr(repro.mpi.omb, "Simulator", HeapSimulator)
+        slow = run_case(case)
         assert fast.ok and slow.ok, (fast.describe(), slow.describe())
         assert fast.n_events == slow.n_events
         assert fast.sim_time == slow.sim_time

@@ -3,6 +3,7 @@ detection, and the flight recorder."""
 
 import json
 import math
+import os
 import types
 
 import pytest
@@ -41,7 +42,7 @@ def _profiled_payload(*, seed=3, profile="mv2gdr", design="tuned",
                         fault_plan=fault_plan)
     assert report.ok
     card = make_runcard(report, cfg, cluster_kind="A", n_gpus=4,
-                        profile=profile, seed=seed, sim=sim)
+                        profile=profile, seed=seed)
     return run_payload(card, report.profile,
                        StragglerDetector(rec).report())
 
@@ -89,7 +90,7 @@ class TestRunCard:
         assert card.seed == 3 and card.cluster == "A" and card.gpus == 4
         assert card.profile == "mv2gdr"
         assert card.cvars  # live knob values, not just the name
-        assert card.scheduler in ("fast", "slowpath")
+        assert "scheduler" not in card.to_payload()
         assert {"total_time", "simulated_time", "makespan",
                 "comm_share"} <= set(card.headline)
 
@@ -124,6 +125,21 @@ class TestRunCard:
         loaded = load_run(str(path))
         assert loaded["format"] == RUN_FORMAT
         assert RunCard.from_payload(loaded["runcard"]) == card
+
+    def test_committed_baseline_run_still_loads(self, run_mv2):
+        """Saved runs from before a field was dropped stay loadable:
+        the committed baseline run file, and the same card carrying the
+        retired ``scheduler`` key, load to one card, and no diff against
+        a fresh card reports a ``scheduler`` delta."""
+        path = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                            "baselines", "profile_train.json")
+        saved = load_run(path)["runcard"]
+        card = RunCard.from_payload(saved)
+        legacy = RunCard.from_payload(dict(saved, scheduler="slowpath"))
+        assert legacy == card and legacy.diff(card) == []
+        fresh = RunCard.from_payload(run_mv2["runcard"])
+        names = [name for name, _, _ in legacy.diff(fresh)]
+        assert names and "scheduler" not in names
 
     def test_load_rejects_non_run_files(self, tmp_path):
         bad = tmp_path / "bad.json"

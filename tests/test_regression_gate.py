@@ -37,6 +37,9 @@ def gate(monkeypatch, tmp_path):
                         _write_baseline(tmp_path / "base.json",
                                         _fake_headline()))
     monkeypatch.setattr(rg, "attribute_train_regression", lambda: "")
+    # The real ledger is a ~1 min subprocess; test_ledger_step drives
+    # it with a stand-in runner instead.
+    monkeypatch.setattr(rg, "run_ledger", lambda: [])
     return rg
 
 
@@ -77,6 +80,10 @@ class TestExitCodes:
                             lambda: ["too slow"])
         assert gate.main(["--no-tune", "--no-chaos"]) == rg.EXIT_WALLCLOCK
 
+    def test_ledger_gate_is_7(self, gate, monkeypatch):
+        monkeypatch.setattr(gate, "run_ledger", lambda: ["check failed"])
+        assert gate.main(QUICK) == rg.EXIT_LEDGER
+
     def test_first_failing_gate_wins(self, gate, monkeypatch, tmp_path,
                                      capsys):
         bad = dict(_fake_headline(), metric_a=8.0)
@@ -91,9 +98,43 @@ class TestExitCodes:
 
     def test_distinct_codes(self):
         codes = [rg.EXIT_MISSING_BASELINE, rg.EXIT_HEADLINE, rg.EXIT_TUNE,
-                 rg.EXIT_CHAOS, rg.EXIT_WALLCLOCK]
+                 rg.EXIT_CHAOS, rg.EXIT_WALLCLOCK, rg.EXIT_LEDGER]
         assert len(set(codes)) == len(codes)
         assert 1 not in codes  # 1 is argparse/interpreter territory
+
+
+_FAKE_E2E = """
+import json, sys
+a = sys.argv
+assert a[a.index("--workload") + 1] == "train_weak"
+record = {"workload": "train_weak", "errors": ERRORS,
+          "per_layer": {"share.core": 5.0, "share.sim.kernel": 30.0,
+                        "count.sim.events": 7}}
+json.dump({"runs": [record]}, open(a[a.index("--out") + 1], "w"))
+sys.exit(EXIT)
+"""
+
+
+@pytest.mark.parametrize("errors,code,problem", [
+    ([], 0, None), (["pass 2 differs"], 0, "check failed: pass 2 differs"),
+    ([], 2, "exited 2")])
+def test_ledger_step(monkeypatch, tmp_path, capsys, errors, code, problem):
+    """The e2e ledger step, driven by a stand-in for ``e2e/run.py``:
+    ``share.*`` rows print largest first; a failed run or check is a
+    problem."""
+    script = tmp_path / "fake_run.py"
+    script.write_text(_FAKE_E2E.replace("ERRORS", repr(errors))
+                      .replace("EXIT", str(code)))
+    monkeypatch.setattr(rg, "E2E_RUN", str(script))
+    monkeypatch.setattr(rg, "RESULTS_DIR", str(tmp_path))
+    problems = rg.run_ledger()
+    if problem is not None:
+        assert len(problems) == 1 and problem in problems[0]
+    else:
+        assert problems == []
+        rows = [line.split()[0] for line in capsys.readouterr().out
+                .splitlines() if line.startswith("  share.")]
+        assert rows == ["share.sim.kernel", "share.core"]
 
 
 class TestReproCommands:
@@ -140,7 +181,7 @@ class TestInjectedSlowdownAttribution:
                             fault_plan=fault_plan)
         assert report.ok
         card = make_runcard(report, cfg, cluster_kind="A", n_gpus=4,
-                            profile="mv2gdr", seed=7, sim=sim)
+                            profile="mv2gdr", seed=7)
         return run_payload(card, report.profile,
                            StragglerDetector(rec).report())
 

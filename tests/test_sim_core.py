@@ -5,6 +5,10 @@ import pytest
 from repro.sim import (
     Interrupt, Simulator, SimulationError, 
 )
+from repro.sim.core import Timeout
+from repro.sim.resources import BandwidthLink
+
+NAN = float("nan")
 
 
 @pytest.fixture
@@ -278,6 +282,36 @@ class TestSimulator:
         sim.process(proc())
         sim.run()
         assert sim.event_count >= 10
+
+
+class TestNaNRejected:
+    """NaN compares false against everything, so ``< 0``/``< now``
+    guards let it through and the clock then runs backwards."""
+
+    @pytest.mark.parametrize("call", [
+        lambda s: s.timeout(NAN), lambda s: Timeout(s, NAN),
+        lambda s: s.timeout_at(NAN), lambda s: s.run(until=NAN),
+        lambda s: BandwidthLink(s, bandwidth=NAN, latency=0.0),
+        lambda s: BandwidthLink(s, bandwidth=1.0, latency=NAN),
+        lambda s: BandwidthLink(s, bandwidth=1.0, latency=0.0, jitter=NAN),
+        lambda s: BandwidthLink(s, bandwidth=1.0, latency=0.0,
+                                per_message_overhead=NAN),
+    ])
+    def test_rejected(self, sim, call):
+        with pytest.raises(ValueError):
+            call(sim)
+
+    def test_clock_stays_monotonic(self, sim):
+        sim.timeout(1.0)
+        sim.run()  # the drained timeout lands on the free list
+        assert sim._tpool
+        fired = []
+        sim.timeout(2.0).add_callback(lambda _e: fired.append(sim.now))
+        with pytest.raises(ValueError):
+            sim.timeout(NAN)  # the pooled path checks too
+        sim.timeout(1.0).add_callback(lambda _e: fired.append(sim.now))
+        sim.run()
+        assert fired == [2.0, 3.0]
 
 
 class TestConditionFailures:

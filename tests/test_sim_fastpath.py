@@ -1,28 +1,34 @@
-"""Golden same-seed identity tests for the fast-path DES kernel.
+"""Golden same-seed identity tests for the DES kernel's scheduler.
 
-The simulator has two scheduler implementations: the two-tier fast
-path (calendar buckets + URGENT lane, pooled events) and the reference
-flat-heapq slow path (``Simulator(slowpath=True)`` /
-``REPRO_SIM_SLOWPATH=1``).  Both share the same semantic protocol
-(inline completion, trampoline, eager process start, batched link
-trains), so seeded runs must be *event-for-event identical*: same
-dispatch order, same times, same event count.  These tests pin that
-contract, plus the unit behavior of the structures the fast path
-added (bucket queue, event pooling, tombstone cancel, batched
-transfer trains, closed-form pipeline schedules).
+The simulator schedules on an URGENT FIFO lane plus one time heap,
+with pooled events.  The test-only :class:`HeapSimulator` oracle keeps
+everything in one flat ``(time, priority, seq)`` heap with no lane and
+no pooling, sharing the rest of the semantic protocol (inline
+completion, trampoline, eager process start, batched link trains), so
+seeded runs must be *event-for-event identical*: same dispatch order,
+same times, same event count.  These tests pin that contract, plus
+the unit behavior of the kernel's fast paths (same-time FIFO order,
+event pooling, tombstone cancel, batched transfer trains, closed-form
+pipeline schedules) and its independence from the string-hash seed.
 """
 
+import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro.mpi.omb
 from repro.check.harness import Case, generate_matrix, run_case
 from repro.sim import Channel, Simulator
 from repro.sim.resources import (
     BandwidthLink, Resource, Store, pipeline_exit_times,
 )
+
+from .heap_oracle import HeapSimulator
 
 
 # -- workload used for per-event trace comparison ---------------------------
@@ -88,8 +94,7 @@ def _mixed_workload(sim):
     return done
 
 
-def _trace(slowpath):
-    sim = Simulator(slowpath=slowpath)
+def _trace(sim):
     done = _mixed_workload(sim)
     trace = []
     while sim.peek() != math.inf:
@@ -98,18 +103,25 @@ def _trace(slowpath):
     return trace, sim.event_count, sorted(done)
 
 
+def _run_on(sim_cls, monkeypatch, case):
+    """``run_case(case)`` with every universe built on ``sim_cls``."""
+    with monkeypatch.context() as m:
+        m.setattr(repro.mpi.omb, "Simulator", sim_cls)
+        return run_case(case)
+
+
 class TestGoldenTraceIdentity:
     def test_mixed_workload_event_for_event(self):
-        fast, n_fast, done_fast = _trace(slowpath=False)
-        slow, n_slow, done_slow = _trace(slowpath=True)
+        fast, n_fast, done_fast = _trace(Simulator())
+        slow, n_slow, done_slow = _trace(HeapSimulator())
         assert n_fast == n_slow
         assert done_fast == done_slow
         assert fast == slow  # same times, same dispatch order
 
-    def test_conformance_cases_identical_across_modes(self):
+    def test_conformance_cases_identical_across_modes(self, monkeypatch):
         """A slice of the conformance matrix (every collective family,
         chunked and windowed variants) runs to the same clock and event
-        count in both scheduler modes."""
+        count on the scheduler and on the heap oracle."""
         cases = [
             Case(collective="reduce_chain", P=8, nbytes=1 << 16, window=4,
                  chunk_bytes=1 << 13),
@@ -124,27 +136,19 @@ class TestGoldenTraceIdentity:
         ]
         for case in cases:
             outcomes = {}
-            for mode in ("0", "1"):
-                os.environ["REPRO_SIM_SLOWPATH"] = mode
-                try:
-                    r = run_case(case)
-                finally:
-                    os.environ.pop("REPRO_SIM_SLOWPATH", None)
-                assert r.ok, f"{case.spec()} mode={mode}: {r.failures}"
-                outcomes[mode] = (r.sim_time, r.n_events)
-            assert outcomes["0"] == outcomes["1"], case.spec()
+            for sim_cls in (Simulator, HeapSimulator):
+                r = _run_on(sim_cls, monkeypatch, case)
+                assert r.ok, f"{case.spec()} {sim_cls.__name__}: {r.failures}"
+                outcomes[sim_cls] = (r.sim_time, r.n_events)
+            assert outcomes[Simulator] == outcomes[HeapSimulator], case.spec()
 
-    def test_generated_matrix_prefix_identical_across_modes(self):
+    def test_generated_matrix_prefix_identical_across_modes(self, monkeypatch):
         for case in generate_matrix(seed=3, quick=True)[:6]:
             results = {}
-            for mode in ("0", "1"):
-                os.environ["REPRO_SIM_SLOWPATH"] = mode
-                try:
-                    r = run_case(case)
-                finally:
-                    os.environ.pop("REPRO_SIM_SLOWPATH", None)
-                results[mode] = (r.ok, r.sim_time, r.n_events)
-            assert results["0"] == results["1"], case.spec()
+            for sim_cls in (Simulator, HeapSimulator):
+                r = _run_on(sim_cls, monkeypatch, case)
+                results[sim_cls] = (r.ok, r.sim_time, r.n_events)
+            assert results[Simulator] == results[HeapSimulator], case.spec()
 
 
 class TestBucketQueue:
@@ -166,42 +170,28 @@ class TestBucketQueue:
         assert order == sorted(order)
 
     def test_urgent_lane_runs_before_same_time_timeouts(self):
-        sim = Simulator()
-        order = []
+        def order_on(sim):
+            order = []
 
-        def proc():
-            ev = sim.event()
-            sim.timeout(1e-3).add_callback(lambda _t: order.append("t"))
+            def proc():
+                ev = sim.event()
+                sim.timeout(1e-3).add_callback(lambda _t: order.append("t"))
 
-            def trip(_t):
-                ev.succeed()
+                def trip(_t):
+                    ev.succeed()
 
-            sim.timeout(1e-3).add_callback(trip)
-            yield ev
-            order.append("woken")
+                sim.timeout(1e-3).add_callback(trip)
+                yield ev
+                order.append("woken")
 
-        sim.process(proc())
-        sim.run()
+            sim.process(proc())
+            sim.run()
+            return order
+
         # URGENT orders ahead of *later-scheduled* work at the same
         # instant, never ahead of already-queued NORMAL events; the
-        # pinned contract is that fast and slow modes agree on it.
-        slow_order = []
-        sim2 = Simulator(slowpath=True)
-
-        def proc2():
-            ev = sim2.event()
-            sim2.timeout(1e-3).add_callback(lambda _t: slow_order.append("t"))
-
-            def trip(_t):
-                ev.succeed()
-
-            sim2.timeout(1e-3).add_callback(trip)
-            yield ev
-            slow_order.append("woken")
-
-        sim2.process(proc2())
-        sim2.run()
-        assert order == slow_order
+        # pinned contract is that the lane agrees with the flat heap.
+        assert order_on(Simulator()) == order_on(HeapSimulator())
 
     def test_timeout_at_fires_at_exact_instant(self):
         sim = Simulator()
@@ -219,8 +209,7 @@ class TestBucketQueue:
             sim.timeout_at(0.5)
 
     def test_timeout_at_orders_with_equal_time_timeouts(self):
-        for slowpath in (False, True):
-            sim = Simulator(slowpath=slowpath)
+        for sim in (Simulator(), HeapSimulator()):
             order = []
 
             def proc():
@@ -232,7 +221,7 @@ class TestBucketQueue:
 
             sim.process(proc())
             sim.run()
-            assert order == ["rel", "abs"], f"slowpath={slowpath}"
+            assert order == ["rel", "abs"], type(sim).__name__
 
 
 class TestEventPooling:
@@ -484,3 +473,38 @@ class TestStagedTrainTransport:
         t_f, stats_f, _ = self._run(OPENMPI, True, True, 8 << 20)
         t_p, stats_p, _ = self._run(OPENMPI, True, False, 8 << 20)
         assert t_f == t_p and stats_f == stats_p
+
+
+# -- independence from the string-hash seed ------------------------------------
+
+_HASHSEED_PROBE = """
+import json
+from repro import Simulator, TrainConfig, make_cluster, train
+from tests.test_sim_fastpath import _trace
+
+trace, n_events, done = _trace(Simulator())
+sim = Simulator(seed=0)
+report = train("scaffe", n_gpus=8, cluster=make_cluster(sim, "A"),
+               config=TrainConfig(network="cifar10_quick", batch_size=256,
+                                  iterations=4, measure_iterations=2))
+print(json.dumps([[(t.hex(), kind) for t, kind in trace], n_events, done,
+                  report.total_time.hex(), sim.event_count]))
+"""
+
+
+def test_identical_across_hash_seeds():
+    """Same seed, same events, whatever ``PYTHONHASHSEED`` is: the mixed
+    workload's per-event trace and a small training point (event count,
+    total time to the bit) match across string-hash seeds."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def probe(hashseed):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=os.pathsep
+                   .join([os.path.join(root, "src"), root]))
+        out = subprocess.run([sys.executable, "-c", _HASHSEED_PROBE],
+                             cwd=root, env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout.splitlines()[-1])
+
+    assert probe("0") == probe("1")
