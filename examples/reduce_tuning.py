@@ -1,19 +1,16 @@
 #!/usr/bin/env python
-"""Hierarchical-reduce design space + autotuning (the Section 5 story).
+"""Hierarchical-reduce design space + tuned selection (the Section 5 story).
 
 Benchmarks MPI_Reduce designs at 160 simulated GPUs across message
 sizes — flat binomial, chunked chain, chain-binomial (CB-k) and
-chain-chain (CC-k) hierarchies — then runs the autotuner to build the
-HR (Tuned) selection table the way the MVAPICH2 tuning infrastructure
-does: by offline sweeps on the target system.
+chain-chain (CC-k) hierarchies — then reads the HR (Tuned) selection
+table off that sweep, the way the MVAPICH2 tuning infrastructure does:
+the fastest measured design wins its message-size range.
 
 Run:  python examples/reduce_tuning.py
 """
 
-from repro.hardware import cluster_a
-from repro.mpi.collectives import autotune
 from repro.mpi.omb import CollPoint, time_point
-from repro.sim import Simulator
 
 P = 160
 KiB, MiB = 1 << 10, 1 << 20
@@ -33,17 +30,18 @@ def fmt(nbytes):
 print(f"MPI_Reduce latency at {P} GPUs (Cluster-A)\n")
 print(f"{'size':>6} | " + " | ".join(f"{d:>10}" for d in DESIGNS))
 print("-" * (9 + 13 * len(DESIGNS)))
+winners = []
 for s in SIZES:
-    cells = []
-    for d in DESIGNS:
-        t = measure(d, s)
-        cells.append(f"{t * 1e3:8.2f}ms")
-    print(f"{fmt(s):>6} | " + " | ".join(f"{c:>10}" for c in cells))
+    lat = {d: measure(d, s) for d in DESIGNS}
+    winners.append(min(DESIGNS, key=lat.get))
+    print(f"{fmt(s):>6} | " + " | ".join(f"{lat[d] * 1e3:8.2f}ms"
+                                         for d in DESIGNS))
 
-print("\nAutotuning (offline sweep -> selection table):")
-table = autotune(lambda: cluster_a(Simulator()), P, SIZES, DESIGNS)
-for bound, design in table.entries:
-    rng = f"< {fmt(bound)}" if bound else "otherwise"
+print("\nSelection table (fastest design per size range):")
+for i, design in enumerate(winners):
+    if i + 1 < len(SIZES) and winners[i + 1] == design:
+        continue  # the range extends to the next size
+    rng = f"< {fmt(SIZES[i + 1])}" if i + 1 < len(SIZES) else "otherwise"
     print(f"  {rng:>10} -> {design}")
 
 print("""

@@ -7,7 +7,7 @@ options like ``-scal weak``), adapted to the simulated stack::
                 --network googlenet --batch-size 1024 --scal strong
     repro osu --profile mv2gdr --design tuned --procs 160 --size 64M
     repro metrics --gpus 16 --network googlenet --out results/metrics
-    repro autotune --procs 160 --sizes 1M,16M,128M
+    repro osu --design flat,CB-8,CC-8 --procs 160 --sizes 1M,16M,128M
     repro table1
     repro networks
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -23,16 +24,47 @@ __all__ = ["main", "build_parser"]
 
 
 def _parse_size(text: str) -> int:
-    """Parse '64M', '16K', '1G', or a plain byte count."""
-    text = text.strip().upper()
+    """Parse '64M', '16K', '1G', or a plain byte count (finite, >= 0)."""
+    num = text.strip().upper()
     mult = 1
-    if text and text[-1] in "KMG":
-        mult = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}[text[-1]]
-        text = text[:-1]
+    if num and num[-1] in "KMG":
+        mult = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}[num[-1]]
+        num = num[:-1]
     try:
-        return int(float(text) * mult)
+        value = float(num) * mult
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad size {text!r}")
+        raise argparse.ArgumentTypeError(f"bad size {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"size must be a finite byte count >= 0, got {text!r}")
+    return int(value)
+
+
+def _csv(text: str) -> List[str]:
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
+def _parse_sizes(text: str) -> List[int]:
+    """argparse type for a comma list of sizes: bad input is a usage
+    error before any simulation starts."""
+    sizes = [_parse_size(s) for s in _csv(text)]
+    if not sizes:
+        raise argparse.ArgumentTypeError("no message sizes given")
+    return sizes
+
+
+def _parse_designs(text: str) -> List[str]:
+    """argparse type for a comma list of reduce designs."""
+    from .mpi.collectives import check_design
+    designs = _csv(text)
+    if not designs:
+        raise argparse.ArgumentTypeError("no reduce designs given")
+    for d in designs:
+        try:
+            check_design(d)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return designs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,18 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--cluster", default="A", choices=["A", "B"])
     o.add_argument("--profile", default="mv2gdr",
                    choices=profiles)
-    o.add_argument("--design", default="tuned",
-                   help="tuned | flat | chain | CB-8 | CC-4 | CCB-8 | ...")
+    o.add_argument("--design", default="tuned", type=_parse_designs,
+                   help="tuned | flat | chain | CB-8 | CC-4 | CCB-8 | ...; "
+                        "a comma list prints one column per design and "
+                        "the fastest design per size")
     o.add_argument("--procs", type=int, default=160)
-    o.add_argument("--sizes", default="64K,1M,8M,64M",
+    o.add_argument("--sizes", default="64K,1M,8M,64M", type=_parse_sizes,
                    help="comma-separated message sizes")
-
-    a = sub.add_parser("autotune",
-                       help="build a reduce tuning table by sweeping")
-    a.add_argument("--cluster", default="A", choices=["A", "B"])
-    a.add_argument("--procs", type=int, default=160)
-    a.add_argument("--sizes", default="64K,1M,8M,64M")
-    a.add_argument("--designs", default="flat,CB-8,CC-8")
 
     tu = sub.add_parser(
         "tune",
@@ -196,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "GPUs/node, B=sparse 2 GPUs/node)")
     x.add_argument("--procs", default="8,32",
                    help="comma-separated process counts")
-    x.add_argument("--sizes", default="4K,64K,1M,16M",
+    x.add_argument("--sizes", default="4K,64K,1M,16M", type=_parse_sizes,
                    help="comma-separated message sizes")
     x.add_argument("--collectives", default="allreduce,bcast",
                    help="comma-separated: allreduce | bcast")
@@ -601,32 +628,22 @@ def _fmt_bytes(n: int) -> str:
 def _cmd_osu(args) -> int:
     from .mpi.omb import CollPoint, time_point
 
-    sizes = [_parse_size(s) for s in args.sizes.split(",") if s.strip()]
+    designs = args.design
+    sweep = len(designs) > 1
     print(f"# MPI_Reduce, {args.procs} procs, profile={args.profile}, "
-          f"design={args.design}, Cluster-{args.cluster}")
-    print(f"{'size':>8}  {'latency':>14}")
-    for nbytes in sizes:
-        t = time_point(CollPoint("tuned_reduce", args.procs, nbytes,
-                                 args.profile, cluster=args.cluster,
-                                 knobs={"design": args.design}))
-        print(f"{_fmt_bytes(nbytes):>8}  {t * 1e6:12.1f} us")
-    return 0
-
-
-def _cmd_autotune(args) -> int:
-    from .hardware import make_cluster
-    from .mpi.collectives import autotune
-    from .sim import Simulator
-
-    sizes = [_parse_size(s) for s in args.sizes.split(",") if s.strip()]
-    designs = [d.strip() for d in args.designs.split(",") if d.strip()]
-    table = autotune(lambda: make_cluster(Simulator(), args.cluster),
-                     args.procs, sizes, designs)
-    print(f"# tuned selection for {args.procs} procs on "
-          f"Cluster-{args.cluster}")
-    for bound, design in table.entries:
-        rng = f"< {_fmt_bytes(bound)}" if bound else "otherwise"
-        print(f"{rng:>12} -> {design}")
+          f"design={','.join(designs)}, Cluster-{args.cluster}")
+    heads = designs if sweep else ["latency"]
+    print(f"{'size':>8}" + "".join(f"  {h:>14}" for h in heads)
+          + ("  fastest" if sweep else ""))
+    for nbytes in args.sizes:
+        lat = {d: time_point(CollPoint("tuned_reduce", args.procs, nbytes,
+                                       args.profile, cluster=args.cluster,
+                                       knobs={"design": d}))
+               for d in designs}
+        row = f"{_fmt_bytes(nbytes):>8}" + "".join(
+            f"  {lat[d] * 1e6:12.1f} us" for d in designs)
+        # The fastest design per size; ties keep the --design order.
+        print(row + (f"  {min(designs, key=lat.get)}" if sweep else ""))
     return 0
 
 
@@ -662,9 +679,6 @@ def _cmd_crossover(args) -> int:
     from .analysis import crossover_report, sweep
     from .analysis.report import format_bytes, format_time
 
-    def csv(text):
-        return [s.strip() for s in text.split(",") if s.strip()]
-
     progress = None
     if args.progress:
         def progress(pt):
@@ -673,11 +687,11 @@ def _cmd_crossover(args) -> int:
                   f"({format_time(pt.latency[pt.winner])})")
 
     points = sweep(
-        collectives=csv(args.collectives),
-        clusters=csv(args.clusters),
-        procs=[int(s) for s in csv(args.procs)],
-        sizes=[_parse_size(s) for s in csv(args.sizes)],
-        backends=csv(args.backends) if args.backends else (),
+        collectives=_csv(args.collectives),
+        clusters=_csv(args.clusters),
+        procs=[int(s) for s in _csv(args.procs)],
+        sizes=args.sizes,
+        backends=_csv(args.backends) if args.backends else (),
         progress=progress)
     print(crossover_report(points))
     return 0
@@ -805,7 +819,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "diff": _cmd_diff,
         "chaos": _cmd_chaos,
         "osu": _cmd_osu,
-        "autotune": _cmd_autotune,
         "tune": _cmd_tune,
         "crossover": _cmd_crossover,
         "check": _cmd_check,

@@ -87,10 +87,6 @@ class FaultyLink(BandwidthLink):
 
     # -- fault controls ----------------------------------------------------
     @property
-    def is_down(self) -> bool:
-        return self._down
-
-    @property
     def slowdown(self) -> float:
         return self._slowdown
 

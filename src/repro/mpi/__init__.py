@@ -10,7 +10,6 @@ from .profiles import (
 from .request import (
     ANY_SOURCE, ANY_TAG, Request, RequestTimeout, waitall, waitany,
 )
-from .rma import Window, create_window
 from .runtime import MPIRuntime
 from .transport import (
     ChecksumError, DeviceTransport, IntegrityError, TransportMetrics,
@@ -29,5 +28,4 @@ __all__ = [
     "MPIRuntime", "DeviceTransport", "TransportMetrics", "TransportTimeout",
     "ChecksumError", "IntegrityError",
     "CollectiveTimeout", "CollectiveWatchdog",
-    "Window", "create_window",
 ]

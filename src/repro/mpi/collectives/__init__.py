@@ -19,8 +19,8 @@ from .reduce import ireduce, reduce, reduce_binomial, reduce_chain
 from .resilient import resilient_reduce, shrink_context
 from .tuning import (
     CC_SCALING_LIMIT, CHAIN_THRESHOLD_BYTES, DESIGNS, IDEAL_CHAIN_SIZE,
-    ReducePlan, TuningTable, autotune, check_design, reduce_design,
-    select_reduce_plan, tuned_reduce,
+    ReducePlan, check_design, reduce_design, select_reduce_plan,
+    tuned_reduce,
 )
 
 __all__ = [
@@ -35,6 +35,6 @@ __all__ = [
     "ireduce", "reduce", "reduce_binomial", "reduce_chain",
     "resilient_reduce", "shrink_context",
     "CC_SCALING_LIMIT", "CHAIN_THRESHOLD_BYTES", "DESIGNS",
-    "IDEAL_CHAIN_SIZE", "ReducePlan", "TuningTable", "autotune",
-    "check_design", "reduce_design", "select_reduce_plan", "tuned_reduce",
+    "IDEAL_CHAIN_SIZE", "ReducePlan", "check_design", "reduce_design",
+    "select_reduce_plan", "tuned_reduce",
 ]

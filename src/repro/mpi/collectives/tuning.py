@@ -24,9 +24,9 @@ from ..communicator import RankContext
 from .hierarchical import hierarchical_reduce, parse_hr_config
 from .reduce import reduce_binomial, reduce_chain
 
-__all__ = ["ReducePlan", "TuningTable", "autotune", "select_reduce_plan",
-           "tuned_reduce", "reduce_design", "check_design", "DESIGNS",
-           "IDEAL_CHAIN_SIZE", "CC_SCALING_LIMIT", "CHAIN_THRESHOLD_BYTES"]
+__all__ = ["ReducePlan", "select_reduce_plan", "tuned_reduce",
+           "reduce_design", "check_design", "DESIGNS", "IDEAL_CHAIN_SIZE",
+           "CC_SCALING_LIMIT", "CHAIN_THRESHOLD_BYTES"]
 
 #: Experimentally-ideal chain length (Section 5: "eight is the ideal P").
 IDEAL_CHAIN_SIZE = 8
@@ -51,65 +51,6 @@ class ReducePlan:
     @property
     def label(self) -> str:
         return self.hr_label or self.kind
-
-
-class TuningTable:
-    """A measured (message size -> best design) table for one process
-    count — the "tuning infrastructure" of Section 6.5: *"HR (Tuned) is
-    the new tuned design that builds on top of the tuning infrastructure
-    in MVAPICH2 and efficiently uses the fastest combination for the
-    desired message size and process count range."*
-
-    Built by :func:`autotune` from offline micro-benchmark sweeps on the
-    target system (exactly how the real MVAPICH2 tables are produced).
-    """
-
-    def __init__(self, P: int, entries):
-        # entries: sorted list of (max_nbytes_exclusive_or_None, design)
-        if not entries:
-            raise ValueError("tuning table needs at least one entry")
-        self.P = P
-        self.entries = list(entries)
-
-    def select(self, nbytes: int) -> str:
-        for bound, design in self.entries:
-            if bound is None or nbytes < bound:
-                return design
-        return self.entries[-1][1]  # pragma: no cover - defensive
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<TuningTable P={self.P} {self.entries}>"
-
-
-def autotune(cluster_factory, P: int, sizes, designs, *,
-             runs_per_point: int = 1) -> "TuningTable":
-    """Build a :class:`TuningTable` by sweeping the candidate designs.
-
-    ``cluster_factory()`` must return a fresh cluster on its own
-    simulator; each (size, design) point runs an OMB-style MPI_Reduce
-    and the fastest design wins its size range.  ``designs`` entries are
-    "flat", "chain", or HR labels ("CB-8", ...).
-    """
-    from ..omb import CollPoint, time_point, universe
-
-    def measure(design: str, nbytes: int) -> float:
-        point = CollPoint("tuned_reduce", P, nbytes,
-                          knobs={"design": design})
-        return time_point(point, universe(point, cluster_factory()))
-
-    sizes = sorted(sizes)
-    winners = []
-    for nbytes in sizes:
-        best = min(designs, key=lambda d: measure(d, nbytes))
-        winners.append(best)
-    entries = []
-    for i, (nbytes, win) in enumerate(zip(sizes, winners)):
-        bound = sizes[i + 1] if i + 1 < len(sizes) else None
-        if entries and entries[-1][1] == win:
-            entries[-1] = (bound, win)
-        else:
-            entries.append((bound, win))
-    return TuningTable(P, entries)
 
 
 def select_reduce_plan(P: int, nbytes: int,

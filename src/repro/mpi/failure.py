@@ -20,10 +20,10 @@ which is the point where in-flight operations start failing.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, List, Set
+from typing import TYPE_CHECKING, List, Set
 
 from ..hardware.gpu import GPUDevice
-from ..sim import Event, Simulator
+from ..sim import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from .communicator import Communicator
@@ -49,7 +49,6 @@ class FailureDetector:
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._dead: Set[int] = set()          # id(gpu)
-        self._dead_gpus: List[GPUDevice] = []
         self._comms: List["Communicator"] = []
         #: Telemetry: number of distinct rank deaths detected.
         self.detections = 0
@@ -62,10 +61,6 @@ class FailureDetector:
     # -- registry ----------------------------------------------------------
     def register_comm(self, comm: "Communicator") -> None:
         self._comms.append(comm)
-
-    @property
-    def dead_gpus(self) -> List[GPUDevice]:
-        return list(self._dead_gpus)
 
     def is_dead(self, gpu: GPUDevice) -> bool:
         return id(gpu) in self._dead
@@ -87,7 +82,6 @@ class FailureDetector:
         if id(gpu) in self._dead:
             return
         self._dead.add(id(gpu))
-        self._dead_gpus.append(gpu)
         self.detections += 1
         exc = RankFailure(f"rank on {gpu.name} failed")
         for comm in list(self._comms):
@@ -102,12 +96,3 @@ class FailureDetector:
         """
         for comm in list(self._comms):
             comm.revoke(exc)
-
-    def notify_after(self, gpu: GPUDevice, delay: float) -> None:
-        """Schedule :meth:`mark_dead` after a detection latency."""
-
-        def watcher() -> Generator[Event, Any, None]:
-            yield self.sim.timeout(delay)
-            self.mark_dead(gpu)
-
-        self.sim.process(watcher(), name=f"detect.{gpu.name}")

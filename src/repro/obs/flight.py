@@ -56,11 +56,6 @@ class FlightRecorder:
         self.recorder = recorder
         recorder.flight = self
 
-    def detach(self) -> None:
-        if self.recorder is not None and self.recorder.flight is self:
-            self.recorder.flight = None
-        self.recorder = None
-
     # -- feed (called by SpanRecorder / the watchdog) ------------------------
     def on_open(self, span) -> None:
         self.seen += 1

@@ -222,24 +222,6 @@ class ActivityGraph:
                         "label": s.label or s.kind})
         return out
 
-    def cp_shares(self) -> Tuple[float, float, float]:
-        """(communication, compute, other+wait) shares of the critical
-        path, each in [0, 1]."""
-        total = self.cp_length
-        if total <= 0:
-            return (0.0, 0.0, 0.0)
-        comm = compute = 0.0
-        for seg in self.critical_path():
-            if seg.is_wait:
-                continue
-            cls = span_class(self.spans[seg.sid])
-            if cls in COMM_CLASSES:
-                comm += seg.duration
-            elif cls in COMPUTE_CLASSES:
-                compute += seg.duration
-        return (comm / total, compute / total,
-                max(0.0, 1.0 - (comm + compute) / total))
-
     # -- utilization --------------------------------------------------------
     def resource_busy(self) -> Dict[str, float]:
         """Resource name -> total busy seconds (multi-link spans count

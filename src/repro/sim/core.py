@@ -506,10 +506,6 @@ class Simulator:
         return self._now
 
     @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
-
-    @property
     def event_count(self) -> int:
         """Total number of events processed (telemetry/tests)."""
         return self._event_count

@@ -30,10 +30,6 @@ class Flag:
         self._value = value
         self._waiters: list[Event] = []
 
-    @property
-    def is_set(self) -> bool:
-        return self._value
-
     def set(self, payload: Any = None) -> None:
         """Set the flag and release all current waiters."""
         self._value = True
