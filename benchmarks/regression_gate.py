@@ -359,10 +359,10 @@ def check_chaos_gate() -> list:
     schedule with parked ranks) cell fails the gate.
     """
     from repro.check import (
-        chaos_outcome_tally, generate_chaos_matrix, run_chaos,
+        chaos_outcome_tally, generate_chaos_matrix, run_matrix,
     )
 
-    results = run_chaos(generate_chaos_matrix(0, quick=True))
+    results = run_matrix(generate_chaos_matrix(0, quick=True))
     tally = chaos_outcome_tally(results)
     print("chaos gate: " + "  ".join(f"{k}={v}" for k, v in tally.items()))
     problems = []

@@ -4,13 +4,18 @@ Every :class:`Case` runs one collective over real NumPy payloads on a
 freshly built simulated cluster, with an
 :class:`~repro.check.invariants.InvariantChecker` installed, and
 compares the result byte-for-byte against the plain-NumPy reference
-semantics in :mod:`repro.check.reference`.  A case fails if
+semantics in :mod:`repro.check.reference`.  A fault-free or
+``fault=drops`` case fails if
 
 - any rank program raises or never finishes (deadlock),
 - any rank's result deviates from the reference by a single byte, or
 - the run leaves an invariant violation behind (lockstep break, tag
   outside its reservation, leaked request/scratch/staging buffer,
   queue residue).
+
+A case whose ``fault`` is one of :data:`FAULT_KINDS` is a chaos cell
+(see :mod:`repro.check.chaos`): it may also pass by ending in a clean
+*typed* error, and never by silent corruption or a hang.
 
 Cases are plain frozen dataclasses with a stable one-line ``spec()``
 encoding, so any failure is reproducible from its printed spec alone:
@@ -24,18 +29,27 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..faults import DropMessages, FaultInjector, FaultPlan
+from ..faults import (
+    CorruptMessages, CrashRank, DropMessages, FaultInjector, FaultPlan,
+    LinkDegrade, LinkFlap, StallLink,
+)
+from ..mpi import (
+    CollectiveTimeout, CommRevoked, RankFailure, RequestTimeout,
+    TransportTimeout,
+)
 from ..mpi.collectives import block_partition
 from ..mpi.omb import CollPoint, rootless, spmd_program, universe
+from ..mpi.profiles import profile_names
 from ..nccl import ring_order
+from ..sim import Interrupt
 from .invariants import InvariantChecker
 from .reference import (
     allgather_reference, gather_reference, rank_payload, reduce_reference,
     reduce_scatter_reference, scatter_reference,
 )
 
-__all__ = ["Case", "CaseResult", "COLLECTIVES", "run_case", "parse_case",
-           "generate_matrix", "run_matrix"]
+__all__ = ["Case", "CaseResult", "COLLECTIVES", "FAULT_KINDS", "run_case",
+           "parse_case", "generate_matrix", "run_matrix"]
 
 #: Collectives the harness can drive, in canonical order.  The
 #: ``nccl_*`` entries are the NCCL backend's suite; like the MPI ones
@@ -53,9 +67,47 @@ COLLECTIVES = (
 )
 
 
+#: Chaos fault kinds, in canonical order, each mapped to the event it
+#: puts on one PCIe lane of the case's victim rank.  Collectives at the
+#: chaos sizes complete within microseconds and many ranks touch a given
+#: link exactly once, in the very first round, so every fault arms at
+#: t=0 (and the injector is armed before the rank programs spawn).
+_CHAOS_EVENTS = {
+    # A couple of bit-flipped deliveries: the checksum layer must detect
+    # and retransmit within the retry budget.
+    "corrupt": lambda lane, seed: CorruptMessages(
+        time=0.0, target=lane, count=2),
+    # More corruptions than the retransmit budget can absorb on one
+    # transfer: must surface as a typed error, never as wrong bytes.
+    "corrupt-storm": lambda lane, seed: CorruptMessages(
+        time=0.0, target=lane, count=64),
+    "stall": lambda lane, seed: StallLink(start=0.0, target=lane),
+    "drop": lambda lane, seed: DropMessages(time=0.0, target=lane, count=2),
+    # Even seeds flap briefly (retries bridge it: recovered); odd seeds
+    # outlast the whole backoff budget (typed timeout).
+    "flap": lambda lane, seed: LinkFlap(
+        start=0.0, duration=0.004 if seed % 2 == 0 else 0.05, target=lane),
+    "degrade": lambda lane, seed: LinkDegrade(
+        start=0.0, duration=0.01, target=lane, factor=8.0),
+}
+
+#: Fault kinds the chaos matrix sweeps, in canonical order.
+FAULT_KINDS = tuple(_CHAOS_EVENTS)
+
+#: Exception types that count as a *clean typed error* outcome.
+TYPED_ERRORS = (TransportTimeout, RankFailure, CommRevoked, RequestTimeout,
+                CollectiveTimeout)
+
+
 @dataclass(frozen=True)
 class Case:
-    """One conformance-matrix entry (fully determines a run)."""
+    """One conformance-matrix entry (fully determines a run).
+
+    ``fault`` is None, ``"drops"`` (two messages lost on rank 0's PCIe
+    uplink; the result must stay byte-exact) or one of
+    :data:`FAULT_KINDS` (a chaos cell faulting both PCIe lanes of
+    :attr:`victim`).
+    """
 
     collective: str
     P: int
@@ -86,9 +138,37 @@ class Case:
     def repro_command(self) -> str:
         return f"PYTHONPATH=src python -m repro.cli check --case '{self.spec()}'"
 
+    @property
+    def victim(self) -> int:
+        """The rank whose PCIe lanes a chaos fault targets (never rank
+        0, the chaos matrix's root)."""
+        return 1 + self.seed % max(1, self.P - 1)
+
+
+def case_error(case: Case) -> Optional[str]:
+    """Why ``case`` cannot run, or None if it can."""
+    if case.collective not in COLLECTIVES:
+        return f"unknown collective {case.collective!r}"
+    if case.profile not in profile_names():
+        return (f"unknown profile {case.profile!r} "
+                f"(have {', '.join(profile_names())})")
+    if case.fault not in (None, "drops") + FAULT_KINDS:
+        return (f"unknown fault kind {case.fault!r} "
+                f"(have drops, {', '.join(FAULT_KINDS)})")
+    if case.P < 1:
+        return f"P must be >= 1, got {case.P}"
+    if not 0 <= case.root < case.P:
+        return f"root {case.root} out of range for P={case.P}"
+    if case.nbytes < 0 or case.nbytes % 4:
+        return "nbytes must be a non-negative multiple of 4 (float32)"
+    if case.fault in FAULT_KINDS and not 2 <= case.P <= 16:
+        return f"fault={case.fault} needs 2 <= P <= 16 (single node)"
+    return None
+
 
 def parse_case(spec: str) -> Case:
-    """Inverse of :meth:`Case.spec`."""
+    """Inverse of :meth:`Case.spec`; raises ValueError on any spec that
+    :func:`run_case` could not run."""
     kv: Dict[str, str] = {}
     for part in spec.split(","):
         part = part.strip()
@@ -103,35 +183,51 @@ def parse_case(spec: str) -> Case:
     kwargs: Dict[str, object] = {}
     for k, v in kv.items():
         if k in ints:
-            kwargs[k] = int(v)
+            try:
+                kwargs[k] = int(v)
+            except ValueError:
+                raise ValueError(f"case field {k}={v!r} is not an integer")
         elif k in ("collective", "profile", "hr_config", "fault"):
             kwargs[k] = v
         else:
             raise ValueError(f"unknown case field {k!r}")
-    if "collective" not in kwargs:
-        raise ValueError("case spec needs collective=...")
+    for need in ("collective", "P", "nbytes"):
+        if need not in kwargs:
+            raise ValueError(f"case spec needs {need}=...")
     case = Case(**kwargs)
-    if case.collective not in COLLECTIVES:
-        raise ValueError(f"unknown collective {case.collective!r}")
+    problem = case_error(case)
+    if problem is not None:
+        raise ValueError(problem)
     return case
 
 
 @dataclass
 class CaseResult:
     case: Case
+    #: ``exact`` | ``recovered`` | ``error`` | ``silent`` | ``hang``
+    #: (see :mod:`repro.check.chaos`).
+    outcome: str = "exact"
+    detail: str = ""
     failures: List[str] = field(default_factory=list)
     sim_time: float = 0.0
     n_events: int = 0
     #: Telemetry PVAR snapshot at end of run (cross-validated against
     #: the checker's independent tally before being stored).
     pvars: Dict[str, object] = field(default_factory=dict)
+    #: Integrity / recovery counters at end of a faulted run.
+    counters: Dict[str, int] = field(default_factory=dict)
+    #: Flight-recorder timeline (last-N span events) of a faulted run
+    #: that failed or ended in an error, so the cell ships its final
+    #: moments alongside the spec.
+    flight: List[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def describe(self) -> str:
-        head = f"{'PASS' if self.ok else 'FAIL'} {self.case.spec()}"
+        head = (f"{'PASS' if self.ok else 'FAIL'} "
+                f"[{self.outcome:>9}] {self.case.spec()}")
         if self.ok:
             return head
         lines = [head] + [f"    {f}" for f in self.failures]
@@ -224,7 +320,8 @@ def _verify(case: Case, payloads: List[np.ndarray],
                   full[off // 4:(off + n) // 4], "reduce_scatter")
 
 
-def _fault_plan(case: Case) -> Optional[FaultPlan]:
+def fault_plan(case: Case) -> Optional[FaultPlan]:
+    """The seeded fault plan ``case.fault`` names (None if fault-free)."""
     if case.fault is None:
         return None
     if case.fault == "drops":
@@ -233,20 +330,31 @@ def _fault_plan(case: Case) -> Optional[FaultPlan]:
         # result must still be byte-exact.
         return FaultPlan("conformance.drops", (
             DropMessages(time=1e-6, target=("pcie", 0, "up"), count=2),))
-    raise ValueError(f"unknown fault kind {case.fault!r}")
+    # Both PCIe directions of the victim are targeted so every
+    # collective's traffic pattern (send-heavy roots, receive-heavy
+    # leaves, rings) crosses a faulted lane.
+    make = _CHAOS_EVENTS[case.fault]
+    return FaultPlan(f"chaos.{case.fault}", tuple(
+        make(("pcie", case.victim, lane), case.seed)
+        for lane in ("up", "down")))
+
+
+def _typed(exc: BaseException) -> bool:
+    if isinstance(exc, TYPED_ERRORS):
+        return True
+    if isinstance(exc, Interrupt):
+        return isinstance(exc.cause, (CrashRank,) + TYPED_ERRORS)
+    return False
 
 
 def run_case(case: Case) -> CaseResult:
-    """Run one conformance case; never raises for in-run failures."""
+    """Run one case and classify its outcome; never raises for in-run
+    failures."""
     res = CaseResult(case)
-    if case.collective not in COLLECTIVES:
-        res.failures.append(f"unknown collective {case.collective!r}")
-        return res
-    if not 0 <= case.root < case.P:
-        res.failures.append(f"root {case.root} out of range for P={case.P}")
-        return res
-    if case.nbytes % 4:
-        res.failures.append("nbytes must be 4-byte aligned (float32)")
+    problem = case_error(case)
+    if problem is not None:
+        res.outcome, res.detail = "error", problem
+        res.failures.append(problem)
         return res
 
     point = case_point(case)
@@ -257,10 +365,6 @@ def run_case(case: Case) -> CaseResult:
     program = spmd_program(point, payloads,
                            lambda rank: _root_for_rank(case, rank))
 
-    plan = _fault_plan(case)
-    if plan is not None:
-        FaultInjector(cluster, plan).arm()
-
     chk = InvariantChecker()
     chk.install(sim)
     # Telemetry rides along on every case: its per-collective byte
@@ -270,48 +374,94 @@ def run_case(case: Case) -> CaseResult:
     tel = TelemetrySession()
     tel.attach(sim)
     tel.install()
-    aborted = False
+    plan = fault_plan(case)
+    injector = flight = None
+    if plan is not None:
+        # A span recorder + flight ring (both passive: simulated times
+        # are bit-identical either way), so a failing verdict carries
+        # its last-N-events timeline.
+        from ..obs import FlightRecorder
+        from ..prof import SpanRecorder
+        flight = FlightRecorder(SpanRecorder(sim), capacity=256)
+        # Arm the injector BEFORE spawning ranks: its t=0 drivers are
+        # then scheduled ahead of the rank programs, so fault state is
+        # in place before the first transfer attempt of the first round.
+        injector = FaultInjector(cluster, plan)
+        injector.arm(runtime=runtime)
+    error: Optional[BaseException] = None
     try:
         procs = runtime.spawn(comm, program)
+        if plan is not None and any(isinstance(ev, StallLink)
+                                    for ev in plan.events):
+            # Stalls are the one fault the retry loop cannot see (no
+            # attempt ever fails); the watchdog converts them.
+            wd = runtime.ensure_watchdog()
+            wd.flight = flight
+            wd.arm(procs, comm.gpus, nbytes=case.nbytes)
         try:
             sim.run()
         except Exception as exc:
-            aborted = True
-            res.failures.append(f"simulation aborted: {exc!r}")
+            error = exc
     finally:
         tel.uninstall()
         chk.uninstall()
 
     res.sim_time = sim.now
     res.n_events = sim.event_count
+    tm = runtime.transport.metrics
+    if injector is not None:
+        res.counters = {
+            "injected": injector.total_injected,
+            "retries": tm.retries,
+            "timeouts": tm.timeouts,
+            "corrupt_detected": tm.corrupt_detected,
+            "retransmits": tm.retransmits,
+            "integrity_failures": tm.integrity_failures,
+            "silent_corruptions": tm.silent_corruptions,
+        }
+        if runtime.watchdog is not None:
+            res.counters["watchdog_timeouts"] = runtime.watchdog.timeouts
+            res.counters["watchdog_escalations"] = \
+                runtime.watchdog.escalations
 
-    if not aborted:
-        stuck = [i for i, p in enumerate(procs) if p.is_alive]
-        if stuck:
-            res.failures.append(f"deadlock: ranks {stuck} never finished")
-        else:
-            failed = [(i, p.value) for i, p in enumerate(procs) if not p.ok]
-            if failed:
-                for i, exc in failed:
-                    res.failures.append(f"rank {i} raised {exc!r}")
-            else:
-                _verify(case, payloads, [p.value for p in procs],
-                        res.failures)
-        if not stuck:
-            for v in chk.end_of_run(transport=runtime.transport):
-                res.failures.append(str(v))
-            got = {k: int(v)
-                   for k, v in tel.pvar_read("mpi.coll.bytes").items()}
-            want = {k: int(v) for k, v in chk.coll_bytes.items()}
-            if got != want:
-                res.failures.append(
-                    f"telemetry coll-bytes mismatch: pvar {got} "
-                    f"vs checker tally {want}")
-        res.pvars = tel.pvar_snapshot()
+    alive = [i for i, p in enumerate(procs) if p.is_alive]
+    if error is None and not alive:
+        error = next((p.value for p in procs if not p.ok), None)
+    if tm.silent_corruptions:
+        res.outcome = "silent"
+        res.failures.append(
+            f"{tm.silent_corruptions} corrupted deliveries passed "
+            f"verification (checksum layer broken)")
+    elif error is not None:
+        res.outcome = "error" if _typed(error) else "hang"
+        res.detail = f"{type(error).__name__}: {error}"
+        if res.outcome == "hang" or case.fault not in FAULT_KINDS:
+            # A crashed simulation leaves queues/requests in arbitrary
+            # states; the abort itself is the failure.
+            res.failures.append(f"simulation aborted: {error!r}")
+            res.failures.extend(str(v) for v in chk.violations)
+    elif alive:
+        res.outcome = "hang"
+        res.failures.append(f"deadlock: ranks {alive} never finished")
     else:
-        # A crashed simulation leaves queues/requests in arbitrary
-        # states; the abort itself is the failure.
-        res.failures.extend(str(v) for v in chk.violations)
+        _verify(case, payloads, [p.value for p in procs], res.failures)
+        if res.failures:
+            res.outcome = "silent"
+            res.failures.append("wrong bytes with no error raised")
+        elif (tm.retries or tm.retransmits or tm.corrupt_detected
+              or tm.drops_detected or tm.link_down_detected):
+            res.outcome = "recovered"
+        for v in chk.end_of_run(transport=runtime.transport):
+            res.failures.append(str(v))
+        got = {k: int(v) for k, v in tel.pvar_read("mpi.coll.bytes").items()}
+        want = {k: int(v) for k, v in chk.coll_bytes.items()}
+        if got != want:
+            res.failures.append(
+                f"telemetry coll-bytes mismatch: pvar {got} "
+                f"vs checker tally {want}")
+        res.pvars = tel.pvar_snapshot()
+    if flight is not None and (res.failures or res.outcome == "error"):
+        res.flight = flight.snapshot()
     return res
 
 
@@ -341,9 +491,7 @@ BOUNDARY_CASES = (
 
 #: The backend axis of the matrix — derived from the profile registry
 #: so a newly registered backend is swept automatically.
-from ..mpi.profiles import profile_names as _profile_names  # noqa: E402
-
-_PROFILES = tuple(_profile_names())
+_PROFILES = tuple(profile_names())
 
 
 def generate_matrix(seed: int = 0, *, quick: bool = False,
@@ -420,14 +568,11 @@ def generate_matrix(seed: int = 0, *, quick: bool = False,
     return cases
 
 
-def run_matrix(cases: List[Case], *, stop_on_fail: bool = False,
-               progress=None) -> List[CaseResult]:
+def run_matrix(cases: List[Case], *, progress=None) -> List[CaseResult]:
     results = []
     for case in cases:
         r = run_case(case)
         results.append(r)
         if progress is not None:
             progress(r)
-        if stop_on_fail and not r.ok:
-            break
     return results

@@ -53,6 +53,61 @@ def _parse_sizes(text: str) -> List[int]:
     return sizes
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad count {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"count must be >= 1, got {value}")
+    return value
+
+
+def _parse_procs(text: str) -> List[int]:
+    """argparse type for a comma list of process counts (each >= 1)."""
+    procs = [_positive_int(s) for s in _csv(text)]
+    if not procs:
+        raise argparse.ArgumentTypeError("no process counts given")
+    return procs
+
+
+def _csv_choices(choices):
+    """argparse type for a non-empty comma list drawn from ``choices``."""
+    def parse(text: str) -> List[str]:
+        items = _csv(text)
+        bad = [s for s in items if s not in choices]
+        if bad or not items:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice {','.join(bad) or text!r} "
+                f"(choose from {', '.join(choices)})")
+        return items
+    return parse
+
+
+def _parse_case(text: str):
+    """argparse type for a ``repro check --case`` spec."""
+    from .check import parse_case
+    try:
+        return parse_case(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _too_many_procs(command: str, procs: int, kinds: List[str]) -> bool:
+    """Report a usage error if ``procs`` ranks exceed the GPUs of any
+    cluster in ``kinds`` (the bound depends on ``--cluster``, so
+    argparse cannot check it alone)."""
+    from .hardware import make_cluster
+    from .sim import Simulator
+    for kind in kinds:
+        n_gpus = make_cluster(Simulator(), kind).n_gpus
+        if procs > n_gpus:
+            print(f"repro {command}: error: argument --procs: {procs} "
+                  f"exceeds Cluster-{kind}'s {n_gpus} GPUs", file=sys.stderr)
+            return True
+    return False
+
+
 def _parse_designs(text: str) -> List[str]:
     """argparse type for a comma list of reduce designs."""
     from .mpi.collectives import check_design
@@ -189,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tuned | flat | chain | CB-8 | CC-4 | CCB-8 | ...; "
                         "a comma list prints one column per design and "
                         "the fastest design per size")
-    o.add_argument("--procs", type=int, default=160)
+    o.add_argument("--procs", type=_positive_int, default=160)
     o.add_argument("--sizes", default="64K,1M,8M,64M", type=_parse_sizes,
                    help="comma-separated message sizes")
 
@@ -219,15 +274,17 @@ def build_parser() -> argparse.ArgumentParser:
              "GPU density x procs over every backend and report where "
              "the winner flips")
     x.add_argument("--clusters", default="A,B",
+                   type=_csv_choices(("A", "B")),
                    help="comma-separated cluster kinds (A=dense 16 "
                         "GPUs/node, B=sparse 2 GPUs/node)")
-    x.add_argument("--procs", default="8,32",
+    x.add_argument("--procs", default="8,32", type=_parse_procs,
                    help="comma-separated process counts")
     x.add_argument("--sizes", default="4K,64K,1M,16M", type=_parse_sizes,
                    help="comma-separated message sizes")
     x.add_argument("--collectives", default="allreduce,bcast",
+                   type=_csv_choices(("allreduce", "bcast")),
                    help="comma-separated: allreduce | bcast")
-    x.add_argument("--backends", default=None,
+    x.add_argument("--backends", default=None, type=_csv_choices(profiles),
                    help="comma-separated backend subset "
                         f"(default: all of {', '.join(profiles)})")
     x.add_argument("--progress", action="store_true",
@@ -270,11 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="matrix generation seed")
     k.add_argument("--max-p", type=int, default=None,
                    help="drop matrix cases with more ranks than this")
-    k.add_argument("--case", default=None, metavar="SPEC",
-                   help="run one case from its spec string "
-                        "(as printed by a failing run)")
+    k.add_argument("--case", default=None, metavar="SPEC", type=_parse_case,
+                   help="run one case (conformance or chaos cell) from "
+                        "its spec string (as printed by a failing run)")
     k.add_argument("--self-test", action="store_true",
-                   help="run the mutation self-test instead of the matrix")
+                   help="run the mutation self-test instead of the matrix: "
+                        "seeded protocol bugs and disabled protections "
+                        "(checksum verify, watchdog) must each be caught")
     k.add_argument("--list", action="store_true", dest="list_cases",
                    help="print the matrix without running it")
     k.add_argument("--failures-out", default=None, metavar="FILE",
@@ -284,13 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "collective x profile x fault kind must end "
                         "exact, recovered, or typed-error — never "
                         "silent corruption, never a hang")
-    k.add_argument("--chaos-case", default=None, metavar="SPEC",
-                   help="run one chaos cell from its spec string "
-                        "(as printed by a failing chaos sweep)")
-    k.add_argument("--chaos-self-test", action="store_true",
-                   help="prove the chaos gate has teeth (disable the "
-                        "checksum verify / the watchdog; each must be "
-                        "caught)")
 
     sub.add_parser("table1", help="print the Table-1 feature matrix")
     sub.add_parser("networks", help="list the model zoo")
@@ -628,6 +680,8 @@ def _fmt_bytes(n: int) -> str:
 def _cmd_osu(args) -> int:
     from .mpi.omb import CollPoint, time_point
 
+    if _too_many_procs("osu", args.procs, [args.cluster]):
+        return 2
     designs = args.design
     sweep = len(designs) > 1
     print(f"# MPI_Reduce, {args.procs} procs, profile={args.profile}, "
@@ -679,6 +733,8 @@ def _cmd_crossover(args) -> int:
     from .analysis import crossover_report, sweep
     from .analysis.report import format_bytes, format_time
 
+    if _too_many_procs("crossover", max(args.procs), args.clusters):
+        return 2
     progress = None
     if args.progress:
         def progress(pt):
@@ -686,68 +742,18 @@ def _cmd_crossover(args) -> int:
                   f"{format_bytes(pt.nbytes)}: {pt.winner_label()} "
                   f"({format_time(pt.latency[pt.winner])})")
 
-    points = sweep(
-        collectives=_csv(args.collectives),
-        clusters=_csv(args.clusters),
-        procs=[int(s) for s in _csv(args.procs)],
-        sizes=args.sizes,
-        backends=_csv(args.backends) if args.backends else (),
-        progress=progress)
+    points = sweep(collectives=args.collectives, clusters=args.clusters,
+                   procs=args.procs, sizes=args.sizes,
+                   backends=args.backends or (), progress=progress)
     print(crossover_report(points))
     return 0
 
 
-def _cmd_chaos_check(args) -> int:
-    from .check import (
-        chaos_outcome_tally, generate_chaos_matrix, parse_chaos_case,
-        run_chaos, run_chaos_case, run_chaos_selftest,
-    )
-
-    if args.chaos_self_test:
-        outcomes = run_chaos_selftest()
-        for o in outcomes:
-            print(o.describe())
-        ok = all(o.detected and o.clean_ok for o in outcomes)
-        print(f"chaos self-test: {sum(o.detected for o in outcomes)}/"
-              f"{len(outcomes)} sabotaged protections caught")
-        return 0 if ok else 1
-
-    if args.chaos_case is not None:
-        result = run_chaos_case(parse_chaos_case(args.chaos_case))
-        print(result.describe())
-        for k, v in sorted(result.counters.items()):
-            print(f"    {k}={v}")
-        print(f"    sim_time={result.sim_time:.6f}s")
-        return 0 if result.ok else 1
-
-    cases = generate_chaos_matrix(args.seed, quick=args.quick)
-    if args.list_cases:
-        for c in cases:
-            print(c.spec())
-        return 0
-
-    results = run_chaos(cases, progress=lambda r: print(r.describe()))
-    tally = chaos_outcome_tally(results)
-    failures = [r for r in results if not r.ok]
-    print(f"\nchaos conformance: {len(results) - len(failures)}/"
-          f"{len(results)} cells pass (seed {args.seed})  "
-          + "  ".join(f"{k}={v}" for k, v in tally.items()))
-    if failures and args.failures_out:
-        with open(args.failures_out, "w") as fh:
-            for r in failures:
-                fh.write(r.describe() + "\n")
-        print(f"failing-cell repro commands written to {args.failures_out}")
-    return 1 if failures else 0
-
-
 def _cmd_check(args) -> int:
     from .check import (
-        generate_matrix, parse_case, run_case, run_matrix,
-        run_mutation_selftest,
+        chaos_outcome_tally, generate_chaos_matrix, generate_matrix,
+        run_case, run_matrix, run_mutation_selftest,
     )
-
-    if args.chaos or args.chaos_case is not None or args.chaos_self_test:
-        return _cmd_chaos_check(args)
 
     if args.self_test:
         outcomes = run_mutation_selftest()
@@ -759,12 +765,20 @@ def _cmd_check(args) -> int:
         return 0 if ok else 1
 
     if args.case is not None:
-        result = run_case(parse_case(args.case))
+        result = run_case(args.case)
         print(result.describe())
+        if result.detail:
+            print(f"    {result.detail}")
+        for k, v in sorted(result.counters.items()):
+            print(f"    {k}={v}")
         print(f"sim_time={result.sim_time:.6f}s events={result.n_events}")
         return 0 if result.ok else 1
 
-    cases = generate_matrix(args.seed, quick=args.quick, max_p=args.max_p)
+    if args.chaos:
+        cases = generate_chaos_matrix(args.seed, quick=args.quick)
+    else:
+        cases = generate_matrix(args.seed, quick=args.quick,
+                                max_p=args.max_p)
     if args.list_cases:
         for c in cases:
             print(c.spec())
@@ -773,7 +787,8 @@ def _cmd_check(args) -> int:
     results = run_matrix(cases, progress=lambda r: print(r.describe()))
     failures = [r for r in results if not r.ok]
     print(f"\nconformance: {len(results) - len(failures)}/{len(results)} "
-          f"cases pass (seed {args.seed})")
+          f"cases pass (seed {args.seed})  " + "  ".join(
+              f"{k}={v}" for k, v in chaos_outcome_tally(results).items()))
     if failures and args.failures_out:
         with open(args.failures_out, "w") as fh:
             for r in failures:

@@ -57,7 +57,6 @@ class TrainingJob:
     def __init__(self, cluster: Cluster, n_gpus: int,
                  workload: Optional[Workload], cfg: TrainConfig, *,
                  profile: MPIProfile | str | None = None,
-                 tracer: Optional[Tracer] = None,
                  recorder=None, telemetry=None):
         if workload is None:
             from ..dnn import get_network
@@ -79,7 +78,7 @@ class TrainingJob:
                 cluster, self.default_profile if profile is None
                 else profile)
             self.cuda = self.runtime.cuda
-        self.tracer = tracer or Tracer(self.sim)
+        self.tracer = Tracer(self.sim)
         self.local_batch = self._solver_batch()
         self.batch_eff = self.cal.batch_efficiency(max(1, self.local_batch))
         self.sim_iterations = min(cfg.iterations, cfg.measure_iterations + 1)

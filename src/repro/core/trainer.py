@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 from ..hardware import Cluster, make_cluster
 from ..mpi import MPIProfile, MV2GDR
-from ..sim import Simulator, Tracer
+from ..sim import Simulator
 from .caffe import CaffeJob
 from .cntk import CNTKJob
 from .config import TrainConfig
@@ -47,7 +47,6 @@ def train(framework: str, *, n_gpus: int,
           profile: MPIProfile | str = MV2GDR,
           workload: Optional[Workload] = None,
           adapter: Optional[RealCompute] = None,
-          tracer: Optional[Tracer] = None,
           recorder=None,
           telemetry=None) -> TrainingReport:
     """Train ``config.network`` with the named framework.
@@ -80,8 +79,7 @@ def train(framework: str, *, n_gpus: int,
         raise KeyError(
             f"unknown framework {framework!r}; choose from {FRAMEWORK_NAMES}")
     job_cls, kwargs = JOBS[key]
-    kwargs = dict(kwargs, tracer=tracer, recorder=recorder,
-                  telemetry=telemetry)
+    kwargs = dict(kwargs, recorder=recorder, telemetry=telemetry)
     if job_cls is SCaffeJob:
         kwargs.update(profile=profile, adapter=adapter)
     elif adapter is not None:

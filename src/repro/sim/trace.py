@@ -43,9 +43,8 @@ class Interval(NamedTuple):
 class Tracer:
     """Records intervals and answers aggregate timing queries."""
 
-    def __init__(self, sim: Simulator, enabled: bool = True):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.enabled = enabled
         self.intervals: List[Interval] = []
         self._open: Dict[Tuple[str, str], float] = {}
         # phase -> summed duration per actor, maintained on end() so the
@@ -53,8 +52,6 @@ class Tracer:
         self._totals: Dict[str, Dict[str, float]] = {}
 
     def begin(self, actor: str, phase: str) -> None:
-        if not self.enabled:
-            return
         key = (actor, phase)
         if key in self._open:
             raise RuntimeError(f"phase {phase!r} already open for {actor!r}")
@@ -64,8 +61,6 @@ class Tracer:
             rec.phase_push(phase)
 
     def end(self, actor: str, phase: str) -> None:
-        if not self.enabled:
-            return
         key = (actor, phase)
         start = self._open.pop(key, None)
         if start is None:

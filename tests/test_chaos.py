@@ -1,16 +1,15 @@
 """Chaos-conformance gate: the outcome trichotomy, its mutation
-self-test, case-spec round-trips, and two interplay regressions —
+self-test rows, and two interplay regressions —
 faulty links vs the batched-train fast path, and fault-plan determinism
 against the heap-scheduler oracle."""
 
-import os
-
 import pytest
 
+from repro.check import (
+    FAULT_KINDS, MUTATIONS, run_matrix, run_mutation_selftest,
+)
 from repro.check.chaos import (
-    ChaosCase, FAULT_KINDS, GOOD_OUTCOMES, chaos_outcome_tally,
-    generate_chaos_matrix, parse_chaos_case, run_chaos, run_chaos_case,
-    run_chaos_selftest,
+    GOOD_OUTCOMES, chaos_outcome_tally, generate_chaos_matrix,
 )
 from repro.core import TrainConfig, run_scaffe
 from repro.faults import PLAN_NAMES, named_plan
@@ -25,7 +24,7 @@ class TestChaosMatrix:
     def test_quick_matrix_trichotomy_holds(self):
         """Every quick-matrix cell must end exact / recovered / typed
         error — zero silent corruption, zero hangs."""
-        results = run_chaos(generate_chaos_matrix(1, quick=True))
+        results = run_matrix(generate_chaos_matrix(1, quick=True))
         assert len(results) >= 60
         tally = chaos_outcome_tally(results)
         assert tally["silent"] == 0
@@ -38,7 +37,7 @@ class TestChaosMatrix:
     def test_full_matrix_covers_every_kind(self):
         cases = generate_chaos_matrix(0, quick=False)
         assert len(cases) >= 200  # acceptance floor from the issue
-        assert {c.kind for c in cases} == set(FAULT_KINDS)
+        assert {c.fault for c in cases} == set(FAULT_KINDS)
 
     def test_victim_is_never_the_root(self):
         for c in generate_chaos_matrix(2, quick=True):
@@ -50,26 +49,13 @@ class TestChaosSelfTest:
         """The gate must have teeth: a disabled checksum verify must
         read as silent corruption, a disabled watchdog as a hang —
         while the unmutated cases pass."""
-        outcomes = run_chaos_selftest()
-        assert len(outcomes) == 2
-        for o in outcomes:
-            assert o.detected, (o.name, o.failures)
-            assert o.clean_ok, o.name
-
-
-class TestCaseSpecs:
-    def test_spec_round_trips(self):
-        for case in generate_chaos_matrix(3, quick=True)[:12]:
-            assert parse_chaos_case(case.spec()) == case
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_chaos_case("collective=allreduce_ring,P=four")
-        with pytest.raises(ValueError):
-            parse_chaos_case("kind=corrupt")  # no collective
-        with pytest.raises(ValueError):
-            parse_chaos_case(
-                "collective=allreduce_ring,P=4,nbytes=64,kind=gremlins")
+        wants = {name: want for name, _, _, want in MUTATIONS}
+        assert wants["disabled_verify"] == "silent"
+        assert wants["disabled_watchdog"] == "hang"
+        outcomes = {o.name: o for o in run_mutation_selftest()}
+        for name in ("disabled_verify", "disabled_watchdog"):
+            assert outcomes[name].detected, outcomes[name].failures
+            assert outcomes[name].clean_ok, name
 
 
 class TestFaultyLinkFastPath:

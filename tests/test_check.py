@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.check import (
-    Case, InvariantChecker, parse_case, run_case, run_mutation_selftest,
+    FAULT_KINDS, Case, InvariantChecker, generate_chaos_matrix, parse_case,
+    run_case, run_mutation_selftest,
 )
 from repro.cuda import DeviceBuffer
 from repro.hardware import cluster_a
@@ -205,7 +206,7 @@ class TestInvariantChecker:
 class TestMutationSelfTest:
     def test_every_seeded_bug_is_detected(self):
         outcomes = run_mutation_selftest()
-        assert len(outcomes) == 3
+        assert len(outcomes) == 5
         for o in outcomes:
             assert o.clean_ok, f"{o.name}: baseline case failed"
             assert o.detected, f"{o.name}: mutation NOT detected"
@@ -280,9 +281,36 @@ class TestCaseSpec:
                     hr_config="CCB-2")
         assert parse_case(case.spec()) == case
 
+    def test_chaos_cells_roundtrip(self):
+        cases = generate_chaos_matrix(3, quick=True)
+        assert {c.fault for c in cases} == set(FAULT_KINDS)
+        for case in cases:
+            assert parse_case(case.spec()) == case
+
     def test_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
             parse_case("collective=bcast_binomial,P=2,nbytes=8,bogus=1")
+
+    def test_rejects_unrunnable_specs(self):
+        for spec in ("collective=nope,P=2,nbytes=8",
+                     "collective=bcast_binomial,P=two,nbytes=8",
+                     "P=2,nbytes=8",
+                     "collective=bcast_binomial,P=2,nbytes=8,profile=bogus",
+                     "collective=bcast_binomial,P=2,nbytes=8,fault=bogus",
+                     "collective=bcast_binomial,P=0,nbytes=8",
+                     "collective=bcast_binomial,P=2,nbytes=-8",
+                     "collective=bcast_binomial,P=2,nbytes=8,root=2",
+                     "collective=bcast_binomial,P=20,nbytes=8,fault=stall"):
+            with pytest.raises(ValueError):
+                parse_case(spec)
+
+    def test_run_case_reports_unrunnable_cases(self):
+        """Bad values passed programmatically are failures, not raises."""
+        for case in (Case("bcast_binomial", P=2, nbytes=-8),
+                     Case("bcast_binomial", P=2, nbytes=8, fault="bogus"),
+                     Case("bcast_binomial", P=2, nbytes=8, profile="bogus")):
+            r = run_case(case)
+            assert not r.ok and r.failures
 
     def test_run_case_is_deterministic(self):
         case = Case("allreduce_ring", P=5, nbytes=260, seed=9)

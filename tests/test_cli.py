@@ -59,6 +59,21 @@ class TestBadInputRejected:
         ["osu", "--sizes", ","],
         ["crossover", "--sizes=inf"],
         ["crossover", "--sizes", "1Q"],
+        ["osu", "--procs", "0"],
+        ["osu", "--procs=-4"],
+        ["crossover", "--procs", "abc"],
+        ["crossover", "--procs", "8,0"],
+        ["crossover", "--clusters", "C"],
+        ["crossover", "--collectives", "allreduce,nope"],
+        ["crossover", "--backends", "mpich"],
+        ["check", "--case", "collective=bcast_binomial,P=4,nbytes=64,"
+                            "fault=bogus"],
+        ["check", "--case", "collective=bcast_binomial,P=4,nbytes=64,"
+                            "profile=bogus"],
+        ["check", "--case", "collective=bcast_binomial,P=4,nbytes=-8"],
+        ["check", "--case", "collective=nope,P=4,nbytes=64"],
+        ["check", "--case", "collective=bcast_binomial,P=0,nbytes=64"],
+        ["check", "--case", "collective=bcast_binomial,P=4,nbytes=64,x=1"],
     ], ids=" ".join)
     def test_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -67,6 +82,47 @@ class TestBadInputRejected:
         out, err = capsys.readouterr()
         assert out == ""
         assert "error: argument" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["osu", "--procs", "193"],
+        ["osu", "--cluster", "B", "--procs", "41"],
+        ["crossover", "--clusters", "A,B", "--procs", "8,64"],
+    ], ids=" ".join)
+    def test_procs_above_cluster_size(self, argv, capsys):
+        """The GPU bound depends on the cluster flag, so it is checked
+        after parsing -- still exit 2, still before any output."""
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: argument --procs" in err
+
+
+class TestCheckCommand:
+    def test_case_runs_a_chaos_cell(self, capsys):
+        """``--case`` takes a chaos cell's spec as printed by the chaos
+        matrix; the exit code follows the cell's verdict."""
+        from repro.check import generate_chaos_matrix, run_case
+        cell = next(c for c in generate_chaos_matrix(0, quick=True)
+                    if c.fault == "stall")
+        want = run_case(cell)
+        rc = main(["check", "--case", cell.spec()])
+        out = capsys.readouterr().out
+        assert rc == (0 if want.ok else 1)
+        assert f"[{want.outcome:>9}] {cell.spec()}" in out
+        assert "watchdog_timeouts=" in out
+
+    def test_self_test_covers_chaos_mutations(self, capsys):
+        assert main(["check", "--self-test"]) == 0
+        out = capsys.readouterr().out
+        assert "DETECTED  disabled_verify" in out
+        assert "DETECTED  disabled_watchdog" in out
+        assert "self-test: 5/5 mutations detected" in out
+
+    def test_chaos_list_prints_case_specs(self, capsys):
+        assert main(["check", "--chaos", "--quick", "--list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 216
+        assert all(",fault=" in line for line in lines)
 
 
 class TestCommands:

@@ -382,9 +382,9 @@ class TestFlightRecorder:
         assert any(n["kind"].startswith("watchdog.") for n in notes)
 
     def test_chaos_stall_cell_ships_flight_events(self):
-        from repro.check.chaos import ChaosCase, run_chaos_case
-        res = run_chaos_case(ChaosCase("allreduce_ring", P=4,
-                                       nbytes=1024, kind="stall", seed=5))
+        from repro.check import Case, run_case
+        res = run_case(Case("allreduce_ring", P=4, nbytes=1024, seed=5,
+                            fault="stall"))
         assert res.outcome == "error"
         assert res.flight
         kinds = [e["kind"] for e in res.flight if e["ev"] == "note"]

@@ -24,7 +24,6 @@ import pytest
 
 from repro.analysis import time_backend
 from repro.check import COLLECTIVES, Case, run_case
-from repro.check.chaos import ChaosCase, run_chaos_case
 from repro.hardware import make_cluster
 from repro.mpi.collectives import check_design
 from repro.mpi.omb import ALGORITHMS, MENUS, CollPoint, osu_reduce, time_point
@@ -244,8 +243,8 @@ def test_conformance_case(key):
 @pytest.mark.parametrize("key", sorted(CHAOS))
 def test_chaos_cell(key):
     collective, kind = key.split("/")
-    result = run_chaos_case(ChaosCase(collective, P=8, nbytes=4 * 300,
-                                      kind=kind, seed=7))
+    result = run_case(Case(collective, P=8, nbytes=4 * 300, seed=7,
+                           fault=kind))
     assert (result.outcome, result.sim_time.hex()) == CHAOS[key]
 
 

@@ -60,13 +60,6 @@ def test_busy_union_merges_overlaps(sim):
     assert tr.busy_union("comm") == pytest.approx(7.0)
 
 
-def test_disabled_tracer_records_nothing(sim):
-    tr = Tracer(sim, enabled=False)
-    tr.begin("r0", "x")
-    tr.end("r0", "x")
-    assert tr.intervals == []
-
-
 def test_actors_and_phases_listing(sim):
     tr = Tracer(sim)
     tr.begin("b", "p2"); tr.end("b", "p2")
