@@ -437,10 +437,10 @@ class SCaffeJob(TrainingJob):
     def _reduce(self, ctx: RankContext, buf: DeviceBuffer
                 ) -> Generator[Event, Any, None]:
         """Gradient reduction to the root solver per the configured
-        design; the root reduces in place (its contribution included)."""
+        design; the root reduces in place (its contribution included).
+        Returns the design's generator (no extra frame per resumption)."""
         recv = buf if ctx.rank == 0 else None
-        yield from reduce_design(ctx, buf, recv, 0,
-                                 design=self.cfg.reduce_design)
+        return reduce_design(ctx, buf, recv, 0, design=self.cfg.reduce_design)
 
 
 run_scaffe = SCaffeJob.launch

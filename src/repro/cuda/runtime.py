@@ -117,14 +117,18 @@ class CudaRuntime:
     def launch(self, device: GPUDevice, *, flops: float = 0.0,
                duration: Optional[float] = None,
                ) -> Generator[Event, Any, None]:
-        """Run a compute kernel on ``device`` (serializes on the SM array)."""
+        """Run a compute kernel on ``device`` (serializes on the SM array).
+
+        Returns the SM hold's generator (no extra frame per resumption);
+        drive it with ``yield from`` right away, as every sub-protocol.
+        """
         dur = (device.spec.compute_time(flops) if duration is None
                else duration)
         if self.cal.compute_jitter:
             dur *= self.sim.jitter_factor(self.cal.compute_jitter)
         dur *= device.compute_slowdown
-        yield from device.compute.use(self.cal.kernel_launch_overhead + dur,
-                                      kind="kernel")
+        return device.compute.use(self.cal.kernel_launch_overhead + dur,
+                                  kind="kernel")
 
     def reduce_kernel(self, acc: DeviceBuffer, contrib: DeviceBuffer,
                       nbytes: Optional[int] = None, *, offset: int = 0,

@@ -112,8 +112,6 @@ def coll_tags(ctx: RankContext, count: int, name: str = "") -> TagBlock:
     """
     count = max(1, count)
     comm = ctx.comm
-    if not hasattr(comm, "_coll_seq"):
-        comm._coll_seq = [0] * comm.size
     seq = comm._coll_seq[ctx.rank]
     units = -(-count // TAG_BLOCK)
     comm._coll_seq[ctx.rank] = seq + units
@@ -199,17 +197,23 @@ def apply_reduction(ctx: RankContext, acc: DeviceBuffer,
                     contrib: DeviceBuffer, nbytes: int, *, offset: int = 0,
                     ) -> Generator[Event, Any, None]:
     """``acc[offset:offset+n] += contrib[offset:offset+n]`` with
-    profile-appropriate cost and real payload math when present."""
+    profile-appropriate cost and real payload math when present.
+    Returns the reduction's generator (no extra frame per resumption)."""
     if ctx.profile.gpu_reduce:
-        yield from ctx.cuda.reduce_kernel(acc, contrib, nbytes, offset=offset)
-    else:
-        # Host-based reduction: the contribution is already host-resident
-        # (it arrived through staged transport), and the runtime keeps the
-        # accumulator host-side across the algorithm; the charged cost is
-        # the CPU sum plus pushing the updated chunk back to the device.
-        yield from ctx.cuda.cpu_reduce(ctx.gpu.node_index, acc, contrib,
-                                       nbytes, offset=offset)
-        yield from ctx.cuda.memcpy_h2d(acc, None, nbytes)
+        return ctx.cuda.reduce_kernel(acc, contrib, nbytes, offset=offset)
+    return _host_reduction(ctx, acc, contrib, nbytes, offset)
+
+
+def _host_reduction(ctx: RankContext, acc: DeviceBuffer,
+                    contrib: DeviceBuffer, nbytes: int, offset: int,
+                    ) -> Generator[Event, Any, None]:
+    # The contribution is already host-resident (it arrived through
+    # staged transport), and the runtime keeps the accumulator host-side
+    # across the algorithm; the charged cost is the CPU sum plus pushing
+    # the updated chunk back to the device.
+    yield from ctx.cuda.cpu_reduce(ctx.gpu.node_index, acc, contrib,
+                                   nbytes, offset=offset)
+    yield from ctx.cuda.memcpy_h2d(acc, None, nbytes)
 
 
 def local_accumulate_copy(ctx: RankContext, dst: DeviceBuffer,

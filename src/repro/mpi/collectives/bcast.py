@@ -39,7 +39,7 @@ def bcast_binomial(ctx: RankContext, buf: DeviceBuffer, root: int = 0,
     while mask < P:
         if vrank & mask:
             parent = ((vrank - mask) + root) % P
-            yield from ctx.recv(parent, buf, tag=tag)
+            yield ctx.irecv(parent, buf, tag=tag).wait()
             break
         mask <<= 1
 

@@ -116,11 +116,11 @@ def hr_plan(comm: Communicator, root: int, chain_size: int
 
 def _flat(ctx: RankContext, algo_name: str, sendbuf, recvbuf, root,
           chunk_bytes) -> Generator[Event, Any, None]:
+    # Returns the algorithm's generator: no extra frame per resumption.
     if algo_name == "chain":
-        yield from reduce_chain(ctx, sendbuf, recvbuf, root,
-                                chunk_bytes=chunk_bytes)
-    else:
-        yield from reduce_binomial(ctx, sendbuf, recvbuf, root)
+        return reduce_chain(ctx, sendbuf, recvbuf, root,
+                            chunk_bytes=chunk_bytes)
+    return reduce_binomial(ctx, sendbuf, recvbuf, root)
 
 
 def _multilevel(ctx: RankContext, sendbuf: DeviceBuffer,

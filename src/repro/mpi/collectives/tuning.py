@@ -16,12 +16,13 @@ The paper tunes the reduction design over (message size, process count):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Optional, Tuple, Union
 
 from ...cuda import DeviceBuffer
 from ...sim import Event
 from ..communicator import RankContext
-from .hierarchical import hierarchical_reduce, parse_hr_config
+from ..profiles import is_stock_profile
+from .hierarchical import HRConfig, hierarchical_reduce, parse_hr_config
 from .reduce import reduce_binomial, reduce_chain
 
 __all__ = ["ReducePlan", "select_reduce_plan", "tuned_reduce",
@@ -78,21 +79,68 @@ def select_reduce_plan(P: int, nbytes: int,
     return ReducePlan("hierarchical", f"CCB-{chain_size}")
 
 
+#: ``repro.tune.tables``, bound on the first dispatch: importing it at
+#: module load would import ``repro.tune``'s search (which imports the
+#: collectives) while this module is still initializing.
+_tables = None
+
+
 def _table_knobs(ctx: RankContext, nbytes: int):
     """Committed tuning-table consult (``repro tune`` output).
 
     Stock profiles only: any CVAR write derives a new profile that no
     longer equals its registered original, and an explicit MPI_T write
-    must always win over the offline table.  Lazy import — the tables
-    module is dependency-light (no cycle), and the no-table case stays
-    off the hot path.
+    must always win over the offline table.
     """
-    from ...tune import tables
-    from ..profiles import is_stock_profile
-    if not tables.enabled() or not is_stock_profile(ctx.profile):
+    if not _tables.enabled() or not is_stock_profile(ctx.profile):
         return None
-    return tables.lookup(ctx.profile.name, "reduce",
-                         tables.comm_topology(ctx.comm), ctx.size, nbytes)
+    return _tables.lookup(ctx.profile.name, "reduce",
+                          _tables.comm_topology(ctx.comm), ctx.size, nbytes)
+
+
+def _pick_design(ctx: RankContext, nbytes: int, chain_size: Optional[int]
+                 ) -> Tuple[str, Optional[int]]:
+    """(design label, chunk_bytes) of the tuned dispatch at this point.
+
+    Committed tuning table first (stock profile, no explicit
+    ``chain_size``), then the Section-5 decision table of
+    :func:`select_reduce_plan`.
+    """
+    if chain_size is None:
+        knobs = _table_knobs(ctx, nbytes)
+        if knobs is not None:
+            return knobs["design"], knobs.get("chunk_bytes")
+        # Default from the profile so the MPI_T cvar (coll.chain_size)
+        # steers the decision table without threading an argument.
+        chain_size = ctx.profile.chain_size
+    plan = select_reduce_plan(ctx.size, nbytes, chain_size=chain_size)
+    return plan.label, None
+
+
+def _resolved_design(ctx: RankContext, nbytes: int,
+                     chain_size: Optional[int]):
+    """:func:`_pick_design`, memoized per communicator, with HR labels
+    parsed once.
+
+    The pick is a pure function of the communicator (size, placement),
+    the point, whether tables are enabled, and the profile.  A CVAR
+    write swaps in a new profile object, so the key holds the profile's
+    identity (the entry keeps the profile alive, so the id cannot be
+    reused) and ``tables_disabled()`` flips the enabled flag in the key.
+    """
+    global _tables
+    if _tables is None:
+        from ...tune import tables as _tables
+    profile = ctx.profile
+    key = (nbytes, chain_size, _tables.enabled(), id(profile))
+    memo = ctx.comm._reduce_designs
+    hit = memo.get(key)
+    if hit is None:
+        design, chunk_bytes = _pick_design(ctx, nbytes, chain_size)
+        if design not in DESIGNS:
+            design = parse_hr_config(design)
+        hit = memo[key] = (profile, design, chunk_bytes)
+    return hit[1], hit[2]
 
 
 def tuned_reduce(ctx: RankContext, sendbuf: DeviceBuffer,
@@ -104,37 +152,23 @@ def tuned_reduce(ctx: RankContext, sendbuf: DeviceBuffer,
     This is the entry point S-Caffe's gradient aggregation uses when the
     runtime profile advertises ``hierarchical_reduce`` (MVAPICH2-GDR with
     the proposed designs); other profiles fall back to their flat
-    algorithm.
+    algorithm.  The design comes from :func:`_pick_design` (memoized).
 
-    Dispatch order: committed tuning table (stock profile, no explicit
-    ``chain_size``) first, then the Section-5 decision table of
-    :func:`select_reduce_plan` as the fallback.
+    Returns the chosen algorithm's generator (see :func:`reduce_design`).
     """
     if not ctx.profile.hierarchical_reduce:
-        yield from reduce_binomial(ctx, sendbuf, recvbuf, root)
-        return
-    wd = getattr(ctx.runtime, "watchdog", None)
+        return reduce_binomial(ctx, sendbuf, recvbuf, root)
+    wd = ctx.runtime.watchdog
     if wd is not None and wd.degraded_mode:
         # A flagged straggler (degraded link / throttled GPU) poisons
         # chain and hierarchical schedules, whose pipelines serialize on
         # the slow hop; the binomial tree touches it in O(log P) rounds
         # at worst.  Degrade gracefully rather than tune for a topology
         # that no longer exists.
-        yield from reduce_binomial(ctx, sendbuf, recvbuf, root)
-        return
-    if chain_size is None:
-        knobs = _table_knobs(ctx, sendbuf.nbytes)
-        if knobs is not None:
-            yield from reduce_design(ctx, sendbuf, recvbuf, root,
-                                     design=knobs["design"],
-                                     chunk_bytes=knobs.get("chunk_bytes"))
-            return
-        # Default from the profile so the MPI_T cvar (coll.chain_size)
-        # steers the decision table without threading an argument.
-        chain_size = ctx.profile.chain_size
-    plan = select_reduce_plan(ctx.size, sendbuf.nbytes,
-                              chain_size=chain_size)
-    yield from reduce_design(ctx, sendbuf, recvbuf, root, design=plan.label)
+        return reduce_binomial(ctx, sendbuf, recvbuf, root)
+    design, chunk_bytes = _resolved_design(ctx, sendbuf.nbytes, chain_size)
+    return reduce_design(ctx, sendbuf, recvbuf, root, design=design,
+                         chunk_bytes=chunk_bytes)
 
 
 def check_design(design: str) -> None:
@@ -150,10 +184,12 @@ def check_design(design: str) -> None:
 
 def reduce_design(ctx: RankContext, sendbuf: DeviceBuffer,
                   recvbuf: Optional[DeviceBuffer], root: int = 0, *,
-                  design: str = "tuned", chunk_bytes: Optional[int] = None,
+                  design: Union[str, HRConfig] = "tuned",
+                  chunk_bytes: Optional[int] = None,
                   ) -> Generator[Event, Any, None]:
     """MPI_Reduce under a named design: "tuned" (:func:`tuned_reduce`),
-    "flat"/"binomial", "chain", or an HR label ("CB-8", "CCB-4", ...).
+    "flat"/"binomial", "chain", or an HR label ("CB-8", "CCB-4", ...)
+    or parsed :class:`~repro.mpi.collectives.hierarchical.HRConfig`.
     ``chunk_bytes`` (optional) feeds the chain pipelines and is
     validated by the algorithms themselves.  Tuning-table entries,
     :func:`select_reduce_plan` decisions and every named-design caller

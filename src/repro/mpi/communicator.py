@@ -18,6 +18,7 @@ import numpy as np
 
 from ..cuda import CudaRuntime, DeviceBuffer
 from ..hardware.gpu import GPUDevice
+from ..hardware.topology import LinkHold
 from ..sim import Barrier, Event, Interrupt, Simulator
 from .failure import CommRevoked, RankFailure
 from .profiles import MPIProfile
@@ -68,6 +69,17 @@ class _PostedRecv:
         self.request = request
 
 
+def _complete(send: _PendingSend, recv: _PostedRecv) -> None:
+    """Complete a matched pair once its bytes have landed.  Revocation
+    may have failed the requests while the bytes were in flight;
+    completion is then a no-op."""
+    status = MessageStatus(send.src_rank, send.tag, send.nbytes)
+    if not send.eager and not send.request.completed:
+        send.request.complete(status)
+    if not recv.request.completed:
+        recv.request.complete(status)
+
+
 class Communicator:
     """A group of ranks mapped onto GPUs, with its own matching space.
 
@@ -98,13 +110,20 @@ class Communicator:
         self._coll_seq = [0] * len(gpus)
         self._revoked: Optional[BaseException] = None
         self._shrunk: Dict[Tuple[int, ...], "Communicator"] = {}
-        # Matched pairs whose transfer is in flight (mover process ->
-        # (send, recv)).  Queued operations live in _posted/_unexpected;
-        # once matched they exist only here, and revoke() must fail them
-        # too — a transfer parked on a stalled link never completes on
+        # Matched pairs whose transfer is in flight (mover process or
+        # callback transfer -> (send, recv)).  Queued operations live in
+        # _posted/_unexpected; once matched they exist only here, and
+        # revoke() must fail them too — a transfer parked on a stalled link never completes on
         # its own, and ULFM revocation promises *every* pending
         # operation errors out.
         self._inflight: Dict[Any, Tuple[_PendingSend, _PostedRecv]] = {}
+        # Member GPU -> rank (first occurrence), and the one cached
+        # RankContext per member GPU that sub_context hands out; both
+        # built on first use.
+        self._rank_of: Optional[Dict[GPUDevice, int]] = None
+        self._contexts: Dict[GPUDevice, "RankContext"] = {}
+        # tuned_reduce's resolved designs (see collectives.tuning).
+        self._reduce_designs: Dict[tuple, tuple] = {}
         runtime.failure_detector.register_comm(self)
 
     @property
@@ -141,16 +160,16 @@ class Communicator:
                     send.request.fail(wrapped)
             q.clear()
         # Matched pairs mid-transfer: fail their requests and interrupt
-        # the mover — a transfer parked on a stalled link would
-        # otherwise hold its receiver hostage forever, invisible to the
-        # queue sweeps above.
-        for proc, (send, recv) in list(self._inflight.items()):
+        # the mover process or callback transfer — a transfer parked on
+        # a stalled link would otherwise hold its receiver hostage
+        # forever, invisible to the queue sweeps above.
+        for xfer, (send, recv) in list(self._inflight.items()):
             if not send.eager and not send.request.completed:
                 send.request.fail(wrapped)
             if not recv.request.completed:
                 recv.request.fail(wrapped)
-            if proc.is_alive:
-                proc.interrupt(wrapped)
+            if xfer.is_alive:
+                xfer.interrupt(wrapped)
         self._inflight.clear()
         self._barrier.abort(wrapped)
 
@@ -228,7 +247,19 @@ class Communicator:
                 send.request.fail(exc)
             return
 
-        transport = self.runtime.transport
+        # Single-hold paths come back as a started callback transfer
+        # (completed by _transfer_done); everything else as the
+        # transport generator, which a mover process drives.  The
+        # eager-send snapshot rides down as the transfer's payload so
+        # delivery (and the integrity verify) happen in one place,
+        # inside the transport.
+        xfer = self.runtime.transport.transfer(
+            send.buf, recv.buf, send.nbytes, src_offset=send.offset,
+            dst_offset=recv.offset, payload=send.snapshot,
+            on_done=self._transfer_done)
+        if isinstance(xfer, LinkHold):
+            self._inflight[xfer] = (send, recv)
+            return
 
         # Registration cell: filled after the (eager) spawn returns, so
         # a mover that somehow finishes inline deregisters a no-op.
@@ -236,13 +267,7 @@ class Communicator:
 
         def mover():
             try:
-                # The eager-send snapshot rides down as the transfer's
-                # payload so delivery (and the integrity verify) happen
-                # in one place, inside the transport.
-                yield from transport.transfer(
-                    send.buf, recv.buf, send.nbytes,
-                    src_offset=send.offset, dst_offset=recv.offset,
-                    payload=send.snapshot)
+                yield from xfer
             except TransportTimeout as exc:
                 # Deliver through the requests instead of crashing the
                 # simulation from an unwaited mover process.
@@ -259,13 +284,7 @@ class Communicator:
             finally:
                 if hold:
                     self._inflight.pop(hold[0], None)
-            status = MessageStatus(send.src_rank, send.tag, send.nbytes)
-            # Revocation may have failed the requests while the bytes
-            # were in flight; completion is then a no-op.
-            if not send.eager and not send.request.completed:
-                send.request.complete(status)
-            if not recv.request.completed:
-                recv.request.complete(status)
+            _complete(send, recv)
 
         # Eager: the mover runs inline to its first link hold / wire
         # timeout, skipping the spawn kick (it touches only the
@@ -278,11 +297,18 @@ class Communicator:
             hold.append(proc)
             self._inflight[proc] = (send, recv)
 
+    def _transfer_done(self, xfer: LinkHold) -> None:
+        """Completion of a callback transfer (registered in _inflight
+        before its first timeout could fire; revocation interrupts it
+        instead of letting it finish)."""
+        send, recv = self._inflight.pop(xfer)
+        _complete(send, recv)
+
     # -- pt2pt entry points ------------------------------------------------------
     def isend(self, src_rank: int, dst_rank: int, buf: DeviceBuffer,
               *, tag: int = 0, offset: int = 0,
               nbytes: Optional[int] = None) -> Request:
-        if not 0 <= dst_rank < self.size:
+        if not 0 <= dst_rank < len(self.gpus):
             raise ValueError(f"bad destination rank {dst_rank}")
         if tag < 0:
             raise ValueError("send tag must be >= 0")
@@ -333,7 +359,7 @@ class Communicator:
     def irecv(self, dst_rank: int, source: int, buf: DeviceBuffer,
               *, tag: int = ANY_TAG, offset: int = 0,
               nbytes: Optional[int] = None) -> Request:
-        if source != ANY_SOURCE and not 0 <= source < self.size:
+        if source != ANY_SOURCE and not 0 <= source < len(self.gpus):
             raise ValueError(f"bad source rank {source}")
         n = buf.nbytes - offset if nbytes is None else nbytes
         chk = self.sim.checker
@@ -367,22 +393,24 @@ class RankContext:
     def __init__(self, comm: Communicator, rank: int):
         self.comm = comm
         self.rank = rank
+        #: The communicator's size (its membership never changes).
+        self.size: int = comm.size
         self.sim: Simulator = comm.sim
         self.gpu: GPUDevice = comm.gpu_of(rank)
         self.runtime: "MPIRuntime" = comm.runtime
         self.cuda: CudaRuntime = comm.runtime.cuda
         self.profile: MPIProfile = comm.runtime.profile
 
-    @property
-    def size(self) -> int:
-        return self.comm.size
-
     # -- pt2pt (bound to this rank) --------------------------------------------
-    def isend(self, dst: int, buf: DeviceBuffer, **kw) -> Request:
-        return self.comm.isend(self.rank, dst, buf, **kw)
+    def isend(self, dst: int, buf: DeviceBuffer, *, tag: int = 0,
+              offset: int = 0, nbytes: Optional[int] = None) -> Request:
+        return self.comm.isend(self.rank, dst, buf, tag=tag, offset=offset,
+                               nbytes=nbytes)
 
-    def irecv(self, source: int, buf: DeviceBuffer, **kw) -> Request:
-        return self.comm.irecv(self.rank, source, buf, **kw)
+    def irecv(self, source: int, buf: DeviceBuffer, *, tag: int = ANY_TAG,
+              offset: int = 0, nbytes: Optional[int] = None) -> Request:
+        return self.comm.irecv(self.rank, source, buf, tag=tag,
+                               offset=offset, nbytes=nbytes)
 
     def send(self, dst: int, buf: DeviceBuffer, **kw
              ) -> Generator[Event, Any, Any]:
@@ -442,9 +470,22 @@ class RankContext:
         """This rank's context in a sub-communicator (None if not a member).
 
         Membership is by GPU identity, which is unambiguous because a GPU
-        hosts exactly one rank in this runtime.
+        hosts exactly one rank in this runtime.  The context is cached
+        per (communicator, GPU) and rebuilt only after a profile swap:
+        a context snapshots the runtime profile when created, so the
+        cached one must still carry the current profile.
         """
-        for r, g in enumerate(comm.gpus):
-            if g is self.gpu:
-                return comm.context(r)
-        return None
+        gpu = self.gpu
+        ctx = comm._contexts.get(gpu)
+        if ctx is not None and ctx.profile is comm.runtime.profile:
+            return ctx
+        ranks = comm._rank_of
+        if ranks is None:
+            ranks = comm._rank_of = {}
+            for r, g in enumerate(comm.gpus):
+                ranks.setdefault(g, r)
+        r = ranks.get(gpu)
+        if r is None:
+            return None
+        ctx = comm._contexts[gpu] = RankContext(comm, r)
+        return ctx

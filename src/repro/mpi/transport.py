@@ -23,12 +23,13 @@ the event model rather than a closed-form guess.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional, Union
 
 import numpy as np
 
 from ..cuda import CudaRuntime, DeviceBuffer, HostBuffer
 from ..hardware import Cluster, multi_link_transfer
+from ..hardware.topology import LinkHold
 from ..hardware.faults import LinkDownError, MessageDropped, TransportFault
 from ..sim import Event
 from ..sim.resources import pipeline_exit_times
@@ -208,8 +209,19 @@ class DeviceTransport:
     def transfer(self, src: DeviceBuffer, dst: DeviceBuffer,
                  nbytes: Optional[int] = None, *, src_offset: int = 0,
                  dst_offset: int = 0, payload: Optional[np.ndarray] = None,
-                 ) -> Generator[Event, Any, None]:
+                 on_done: Optional[Callable[[LinkHold], None]] = None,
+                 ) -> Union[Generator[Event, Any, None], LinkHold]:
         """Sub-protocol: move ``nbytes`` from ``src`` to ``dst``.
+
+        Returns the generator to drive with ``yield from``.  A caller
+        that passes ``on_done`` also accepts a *callback transfer*: when
+        the path is one cut-through hold (same-device copy, IPC peer
+        copy, GDR), no profiler is installed and no link on the path has
+        a fault hook, the transfer starts right here as a
+        :class:`~repro.hardware.topology.LinkHold` (returned) that
+        delivers the payload and then calls ``on_done(hold)`` — the
+        same events as driving the generator in a process, without the
+        process.  Every other case returns the generator.
 
         Payload bytes (when present) are copied on completion.
         ``payload`` overrides the delivered bytes with a frozen snapshot
@@ -227,6 +239,66 @@ class DeviceTransport:
         quiet fabric the integrity layer costs one attribute load and
         adds zero simulated events.
         """
+        if on_done is not None and nbytes is not None:
+            hold = self._start_hold(src, dst, nbytes, src_offset,
+                                    dst_offset, payload, on_done)
+            if hold is not None:
+                return hold
+        return self._transfer(src, dst, nbytes, src_offset, dst_offset,
+                              payload)
+
+    def _start_hold(self, src: DeviceBuffer, dst: DeviceBuffer, n: int,
+                    src_offset: int, dst_offset: int,
+                    payload: Optional[np.ndarray],
+                    on_done: Callable[[LinkHold], None],
+                    ) -> Optional[LinkHold]:
+        """The callback transfer of :meth:`transfer`, or None (nothing
+        done) when the process path must run.  Telemetry hooks, the
+        jitter draw, link counters and delivery happen in the order the
+        generator path realizes them."""
+        if (self.cluster.fault_links_armed or not (
+                0 <= src_offset and 0 <= dst_offset and 0 <= n
+                and src_offset + n <= src.nbytes
+                and dst_offset + n <= dst.nbytes)):
+            return None
+        a, b = src.device, dst.device
+        cal = self.cal
+        if a is b:
+            path, copy, links = "d2d", "d2d", ()
+            extra = cal.cuda_copy_overhead + n / a.spec.membw
+        elif self.cluster.same_node(a, b):
+            if not self.profile.ipc:
+                return None
+            path, copy = "ipc", "p2p"
+            links = (a.pcie_up, b.pcie_down)
+            extra = cal.cuda_copy_overhead
+        elif self.profile.gdr and n <= self.profile.gdr_threshold:
+            path, copy = "gdr", None
+            links, extra = self._gdr_path(a, b, n)
+        else:
+            return None
+        if not LinkHold.eligible(self.sim, links):
+            return None
+        tel = self.sim.telemetry
+        if tel is not None:
+            tel.on_transfer_path(path, n)
+            if copy is not None:
+                tel.on_cuda_copy(copy, n)
+
+        def deliver(hold: LinkHold) -> None:
+            dst.copy_payload_from(src, nbytes=n, src_offset=src_offset,
+                                  dst_offset=dst_offset)
+            if payload is not None and dst.data is not None:
+                dst.data.view(np.uint8)[dst_offset:dst_offset + n] = payload
+            on_done(hold)
+
+        return LinkHold(self.sim, links, n, extra, deliver)
+
+    def _transfer(self, src: DeviceBuffer, dst: DeviceBuffer,
+                  nbytes: Optional[int], src_offset: int, dst_offset: int,
+                  payload: Optional[np.ndarray],
+                  ) -> Generator[Event, Any, None]:
+        """The generator path of :meth:`transfer`."""
         if src_offset < 0 or dst_offset < 0:
             raise ValueError(
                 f"negative offset (src_offset={src_offset}, "
@@ -439,16 +511,20 @@ class DeviceTransport:
         The GDR read-bandwidth cap is modeled by inflating the wire time
         to ``nbytes / gdr_read_bw`` when that exceeds the raw cut-through.
         """
-        a, b = src.device, dst.device
+        links, extra = self._gdr_path(src.device, dst.device, nbytes)
+        yield from multi_link_transfer(self.sim, links, nbytes,
+                                       extra_time=extra, kind="rdma")
+
+    def _gdr_path(self, a, b, nbytes: int):
+        """GDR links and fixed extra hold time (read-bandwidth cap plus
+        the MPI message overhead)."""
         links = [a.pcie_up, self.cluster.node_of(a).nic_for(a).tx,
                  self.cluster.node_of(b).nic_for(b).rx, b.pcie_down]
         raw_bw = min(l.bandwidth for l in links)
         extra = 0.0
         if self.cal.gdr_read_bw < raw_bw:
             extra = nbytes / self.cal.gdr_read_bw - nbytes / raw_bw
-        yield from multi_link_transfer(
-            self.sim, links, nbytes,
-            extra_time=extra + self.cal.mpi_message_overhead, kind="rdma")
+        return links, extra + self.cal.mpi_message_overhead
 
     def _staged_chunks(self, nbytes: int) -> list:
         chunk = self.profile.pipeline_chunk
@@ -525,7 +601,7 @@ class DeviceTransport:
             gap = (end - now) - occ[s].sum()
             for link in links:
                 res = link._res
-                grant = res.request()._value  # idle -> granted inline
+                grant = res.try_acquire()  # train_eligible: idle
 
                 def _done(_t, res=res, grant=grant, gap=gap):
                     res.release(grant)

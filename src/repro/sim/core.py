@@ -281,14 +281,7 @@ class Process(Event):
             except ValueError:
                 pass
         self._target = None
-        ev = self.sim._fresh_event()
-        ev._ok = False
-        ev._value = Interrupt(cause)
-        ev.callbacks.append(self._resume)
-        # Interrupts must not trip the unhandled-failure check.
-        ev._defused = True
-        self.sim._push_urgent(ev)
-        ev._scheduled = True
+        self.sim._push_interrupt(self._resume, cause)
 
     # -- internal ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -615,6 +608,20 @@ class Simulator:
             # this event wakes knows what it causally waited on.
             event._ctx_span = rec.last_span_of(self._active_process)
         self._lane.append(event)
+
+    def _push_interrupt(self, callback: Callable[[Event], None],
+                        cause: Any) -> None:
+        """Schedule an URGENT failed event carrying :class:`Interrupt`
+        (``cause``) whose only callback is ``callback`` — the one event
+        an interrupt costs, for a process or a callback transfer."""
+        ev = self._fresh_event()
+        ev._ok = False
+        ev._value = Interrupt(cause)
+        ev.callbacks.append(callback)
+        # Interrupts must not trip the unhandled-failure check.
+        ev._defused = True
+        self._push_urgent(ev)
+        ev._scheduled = True
 
     def _schedule(self, event: Event, delay: float) -> None:
         """Enqueue ``event`` to fire ``delay`` seconds from now."""

@@ -93,11 +93,27 @@ class Resource:
             self._queue.append(ev)
         return ev
 
+    def try_acquire(self) -> Optional[int]:
+        """Take a free unit's grant now, or return None when a
+        :meth:`request` would queue.
+
+        The inline-grant fast path: an immediate grant costs no
+        scheduler turn, so it needs no :class:`Event` and no ``yield``
+        either (the trampoline would hand an already-granted request
+        straight back through every ``yield from`` frame).
+        """
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            grant = self._grant_seq = self._grant_seq + 1
+            self._busy_since[grant] = self.sim._now
+            return grant
+        return None
+
     def release(self, grant: int) -> None:
         start = self._busy_since.pop(grant, None)
         if start is None:
             raise ValueError(f"unknown or already-released grant {grant!r}")
-        self.busy_time += self.sim.now - start
+        self.busy_time += self.sim._now - start
         queue = self._queue
         cancelled = self._cancelled
         while queue:
@@ -135,12 +151,14 @@ class Resource:
         release — queueing time excluded) is recorded as a span of
         ``kind`` on this resource.
         """
-        req = self.request()
-        try:
-            grant = yield req
-        except BaseException:
-            self.cancel(req)
-            raise
+        grant = self.try_acquire()
+        if grant is None:
+            req = self.request()
+            try:
+                grant = yield req
+            except BaseException:
+                self.cancel(req)
+                raise
         rec = self.sim.recorder
         if rec is None:
             try:
@@ -159,9 +177,9 @@ class Resource:
             self.release(grant)
 
     def _new_grant(self) -> int:
-        self._grant_seq += 1
-        self._busy_since[self._grant_seq] = self.sim.now
-        return self._grant_seq
+        grant = self._grant_seq = self._grant_seq + 1
+        self._busy_since[grant] = self.sim._now
+        return grant
 
     def _absorb_idle(self, gap: float) -> None:
         """Deduct scheduled idle time from the busy-time integral.
@@ -297,12 +315,14 @@ class BandwidthLink:
         if self.jitter:
             duration *= sim.jitter_factor(self.jitter)
         res = self._res
-        req = res.request()
-        try:
-            grant = yield req
-        except BaseException:
-            res.cancel(req)
-            raise
+        grant = res.try_acquire()
+        if grant is None:
+            req = res.request()
+            try:
+                grant = yield req
+            except BaseException:
+                res.cancel(req)
+                raise
         if rec is None:
             try:
                 yield sim.timeout(duration)
@@ -362,7 +382,7 @@ class BandwidthLink:
                 end += pmo
             end += occ
         res = self._res
-        grant = (yield res.request())
+        grant = res.try_acquire()  # train_eligible: the link is idle
         held = end - sim.now
         try:
             yield sim.timeout_at(end)

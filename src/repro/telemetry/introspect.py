@@ -151,6 +151,12 @@ class TelemetrySession:
         self.sim = sim
         self.registry = reg = sim.metrics
         self._t0 = sim.now
+        # Tag-space constants for the attribution hooks, bound once here
+        # (a module-level import would close the sim -> telemetry -> mpi
+        # import cycle).
+        from ..mpi.collectives.base import COLL_TAG_BASE, TAG_BLOCK
+        self._coll_tag_base = COLL_TAG_BASE
+        self._tag_block = TAG_BLOCK
         if self.scrape_interval is not None:
             self.next_scrape_at = self._grid_after(sim.now)
 
@@ -339,11 +345,11 @@ class TelemetrySession:
         """A collective reserved a tag block: extend the attribution
         ledger and the occupancy watermark (same unit arithmetic as the
         invariant checker's tag auditor)."""
-        from ..mpi.collectives.base import COLL_TAG_BASE, TAG_BLOCK
+        tag_block = self._tag_block
         name = block.name or "unnamed"
         led = self._ledgers.setdefault(comm.id, {})
-        units = -(-block.count // TAG_BLOCK)
-        first = (block.base - COLL_TAG_BASE) // TAG_BLOCK
+        units = -(-block.count // tag_block)
+        first = (block.base - self._coll_tag_base) // tag_block
         for u in range(first, first + units):
             led[u] = name
         self._tag_units_hwm.set_max(first + units)
@@ -352,13 +358,12 @@ class TelemetrySession:
             self._coll_invocations.inc(1, coll=name)
 
     def on_send(self, comm, tag: int, nbytes: int) -> None:
-        from ..mpi.collectives.base import COLL_TAG_BASE, TAG_BLOCK
-        if tag >= COLL_TAG_BASE:
+        base = self._coll_tag_base
+        if tag >= base:
             led = self._ledgers.get(comm.id)
             name = "unknown"
             if led is not None:
-                name = led.get((tag - COLL_TAG_BASE) // TAG_BLOCK,
-                               "unknown")
+                name = led.get((tag - base) // self._tag_block, "unknown")
             self._coll_bytes.inc(nbytes, coll=name)
             self._coll_msgs.inc(1, coll=name)
         else:
