@@ -32,7 +32,7 @@ class CudaRuntime:
             return self.cal.unpinned_factor
         return 1.0
 
-    def _timed(self, kind: str, duration: float, *, nbytes: int = 0,
+    def timed(self, kind: str, duration: float, *, nbytes: int = 0,
                label: str = "") -> Generator[Event, Any, None]:
         """A plain timeout, recorded as a resource-less span when a
         profiler is installed (launch overheads, D2D copies)."""
@@ -54,7 +54,7 @@ class CudaRuntime:
         tel = self.sim.telemetry
         if tel is not None:
             tel.on_cuda_copy("d2h", n)
-        yield from self._timed("overhead", self.cal.cuda_copy_overhead,
+        yield from self.timed("overhead", self.cal.cuda_copy_overhead,
                                label="cudaMemcpy")
         factor = self._staging_factor(dst)
         eff = int(n / factor) if factor != 1.0 else n
@@ -70,7 +70,7 @@ class CudaRuntime:
         tel = self.sim.telemetry
         if tel is not None:
             tel.on_cuda_copy("h2d", n)
-        yield from self._timed("overhead", self.cal.cuda_copy_overhead,
+        yield from self.timed("overhead", self.cal.cuda_copy_overhead,
                                label="cudaMemcpy")
         factor = self._staging_factor(src)
         eff = int(n / factor) if factor != 1.0 else n
@@ -84,7 +84,7 @@ class CudaRuntime:
         tel = self.sim.telemetry
         if tel is not None:
             tel.on_cuda_copy("d2d", nbytes)
-        yield from self._timed("d2d", self.cal.cuda_copy_overhead
+        yield from self.timed("d2d", self.cal.cuda_copy_overhead
                                + nbytes / device.spec.membw, nbytes=nbytes,
                                label=device.name)
 

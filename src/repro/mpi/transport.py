@@ -1,7 +1,8 @@
 """Device-buffer transport: the CUDA-aware part of the MPI runtime.
 
 This module decides *how bytes move* between two GPU buffers, as a
-function of the runtime profile and the endpoint placement:
+function of the runtime profile and the endpoint placement, in one
+place (``DeviceTransport._route``):
 
 =====================  ==========================================
 endpoint placement      mechanism (by profile)
@@ -38,6 +39,13 @@ from .profiles import MPIProfile
 
 __all__ = ["DeviceTransport", "TransportTimeout", "TransportMetrics",
            "ChecksumError", "IntegrityError"]
+
+
+#: Span kind of each one-hold path's cut-through.
+_HOLD_KIND = {"d2d": "d2d", "ipc": "p2p", "gdr": "rdma"}
+#: The CUDA copy a path reports to telemetry (GDR is an RDMA by the
+#: NIC; the staged paths report their D2H/H2D copies per chunk).
+_CUDA_COPY = {"d2d": "d2d", "ipc": "p2p"}
 
 
 class TransportTimeout(RuntimeError):
@@ -261,35 +269,14 @@ class DeviceTransport:
                 and src_offset + n <= src.nbytes
                 and dst_offset + n <= dst.nbytes)):
             return None
-        a, b = src.device, dst.device
-        cal = self.cal
-        if a is b:
-            path, copy, links = "d2d", "d2d", ()
-            extra = cal.cuda_copy_overhead + n / a.spec.membw
-        elif self.cluster.same_node(a, b):
-            if not self.profile.ipc:
-                return None
-            path, copy = "ipc", "p2p"
-            links = (a.pcie_up, b.pcie_down)
-            extra = cal.cuda_copy_overhead
-        elif self.profile.gdr and n <= self.profile.gdr_threshold:
-            path, copy = "gdr", None
-            links, extra = self._gdr_path(a, b, n)
-        else:
+        path, links, extra = self._route(src.device, dst.device, n)
+        if extra is None or not LinkHold.eligible(self.sim, links):
             return None
-        if not LinkHold.eligible(self.sim, links):
-            return None
-        tel = self.sim.telemetry
-        if tel is not None:
-            tel.on_transfer_path(path, n)
-            if copy is not None:
-                tel.on_cuda_copy(copy, n)
+        self._announce(path, n)
 
         def deliver(hold: LinkHold) -> None:
-            dst.copy_payload_from(src, nbytes=n, src_offset=src_offset,
-                                  dst_offset=dst_offset)
-            if payload is not None and dst.data is not None:
-                dst.data.view(np.uint8)[dst_offset:dst_offset + n] = payload
+            self._deliver(src, dst, n, src_offset, dst_offset, payload,
+                          corrupted=False)
             on_done(hold)
 
         return LinkHold(self.sim, links, n, extra, deliver)
@@ -325,14 +312,25 @@ class DeviceTransport:
         attempt = 0
         corrupted = False
         while True:
+            # Routed per attempt: a retry takes the links and the
+            # profile as they are when it starts.
+            path, links, extra = self._route(src.device, dst.device, n)
             try:
                 if armed and n:
-                    corrupted = self._consume_corruption(src, dst)
-                moved = yield from self._transfer_once(
-                    src, dst, n, src_offset, dst_offset)
+                    corrupted = self._consume_corruption(links)
+                self._announce(path, n)
+                if extra is None:
+                    yield from self._staged(src, dst, n, links[1:-1])
+                elif links:
+                    yield from multi_link_transfer(
+                        self.sim, links, n, extra_time=extra,
+                        kind=_HOLD_KIND[path])
+                else:
+                    yield from self.cuda.timed("d2d", extra, nbytes=n,
+                                               label=src.device.name)
                 if armed:
                     self._deliver(src, dst, n, src_offset, dst_offset,
-                                  payload, moved, corrupted)
+                                  payload, corrupted)
                     self._verify(src, dst, n, src_offset, dst_offset,
                                  payload, corrupted)
                 break
@@ -363,74 +361,66 @@ class DeviceTransport:
                               self.RETRY_MAX)
                 yield self.sim.timeout(backoff)
         if not armed:
-            if not moved:
-                dst.copy_payload_from(src, nbytes=n, src_offset=src_offset,
-                                      dst_offset=dst_offset)
-            if payload is not None and dst.data is not None:
-                dst.data.view(np.uint8)[dst_offset:dst_offset + n] = payload
+            self._deliver(src, dst, n, src_offset, dst_offset, payload,
+                          corrupted=False)
         elif corrupted:
             # Reachable only if _verify let a corrupted delivery through
             # (e.g. the mutation self-test disabling it): the exact
             # failure mode the chaos gate exists to keep at zero.
             self.metrics.count_silent_corruption()
 
-    def _transfer_once(self, src: DeviceBuffer, dst: DeviceBuffer, n: int,
-                       src_offset: int, dst_offset: int,
-                       ) -> Generator[Event, Any, bool]:
-        """One transfer attempt; returns True if the payload already moved
-        (the p2p mechanism copies it as part of the operation)."""
-        a, b = src.device, dst.device
-        tel = self.sim.telemetry
+    def _route(self, a, b, n: int):
+        """The route of an ``n``-byte transfer from GPU ``a`` to GPU
+        ``b``: the one placement x profile decision of this module.
+
+        Returns ``(path, links, extra)``: the telemetry path label, the
+        links the payload crosses (source side first), and the fixed
+        extra hold time of a one-hold path.  ``extra`` is None for the
+        staged paths, whose middle stage is ``links[1:-1]``.
+        """
+        cal = self.cal
         if a is b:
-            if tel is not None:
-                tel.on_transfer_path("d2d", n)
-            yield from self.cuda.memcpy_d2d(a, n)
-        elif self.cluster.same_node(a, b):
+            return "d2d", (), cal.cuda_copy_overhead + n / a.spec.membw
+        cluster = self.cluster
+        if cluster.same_node(a, b):
             if self.profile.ipc:
-                if tel is not None:
-                    tel.on_transfer_path("ipc", n)
-                yield from self.cuda.memcpy_p2p(
-                    src, dst, n, src_offset=src_offset, dst_offset=dst_offset)
-                return True
-            if tel is not None:
-                tel.on_transfer_path("staged_intra", n)
-            yield from self._staged_intra_node(src, dst, n)
-        else:
-            if self.profile.gdr and n <= self.profile.gdr_threshold:
-                if tel is not None:
-                    tel.on_transfer_path("gdr", n)
-                yield from self._gdr_inter_node(src, dst, n)
-            else:
-                if tel is not None:
-                    tel.on_transfer_path("staged_inter", n)
-                yield from self._staged_inter_node(src, dst, n)
-        return False
+                return ("ipc", (a.pcie_up, b.pcie_down),
+                        cal.cuda_copy_overhead)
+            return ("staged_intra",
+                    (a.pcie_up, cluster.node_of(a).host_memcpy, b.pcie_down),
+                    None)
+        links = (a.pcie_up, cluster.node_of(a).nic_for(a).tx,
+                 cluster.node_of(b).nic_for(b).rx, b.pcie_down)
+        if not (self.profile.gdr and n <= self.profile.gdr_threshold):
+            return "staged_inter", links, None
+        # GPUDirect RDMA: one cut-through over PCIe and both NICs, its
+        # wire time inflated to the GDR read-bandwidth cap when that is
+        # narrower, plus the MPI message overhead.
+        raw_bw = min(l.bandwidth for l in links)
+        extra = 0.0
+        if cal.gdr_read_bw < raw_bw:
+            extra = n / cal.gdr_read_bw - n / raw_bw
+        return "gdr", links, extra + cal.mpi_message_overhead
+
+    def _announce(self, path: str, n: int) -> None:
+        """Telemetry of one attempt: the path, then its CUDA copy."""
+        tel = self.sim.telemetry
+        if tel is not None:
+            tel.on_transfer_path(path, n)
+            copy = _CUDA_COPY.get(path)
+            if copy is not None:
+                tel.on_cuda_copy(copy, n)
 
     # -- integrity layer ---------------------------------------------------
-    def _path_links(self, src: DeviceBuffer, dst: DeviceBuffer):
-        """The links a (src, dst) transfer traverses, for corruption
-        attribution.  Mirrors the routing in :meth:`_transfer_once`."""
-        a, b = src.device, dst.device
-        if a is b:
-            return ()
-        if self.cluster.same_node(a, b):
-            if self.profile.ipc:
-                return (a.pcie_up, b.pcie_down)
-            node = self.cluster.node_of(a)
-            return (a.pcie_up, node.host_memcpy, b.pcie_down)
-        nic_a = self.cluster.node_of(a).nic_for(a)
-        nic_b = self.cluster.node_of(b).nic_for(b)
-        return (a.pcie_up, nic_a.tx, nic_b.rx, b.pcie_down)
-
-    def _consume_corruption(self, src: DeviceBuffer, dst: DeviceBuffer,
-                            ) -> bool:
-        """Consume at most one pending payload corruption on the path.
+    def _consume_corruption(self, links) -> bool:
+        """Consume at most one pending payload corruption on the route's
+        ``links``, walked in route order.
 
         Runs synchronously at attempt start (no yields between consuming
         the flag and the attempt it applies to), so concurrent transfers
         on other links cannot be mis-attributed the flip.
         """
-        for link in self._path_links(src, dst):
+        for link in links:
             hook = link.consume_corruption
             if hook is not None and hook():
                 return True
@@ -438,9 +428,10 @@ class DeviceTransport:
 
     def _deliver(self, src: DeviceBuffer, dst: DeviceBuffer, n: int,
                  src_offset: int, dst_offset: int,
-                 payload: Optional[np.ndarray], moved: bool,
-                 corrupted: bool) -> None:
-        """Materialize one attempt's delivered bytes into ``dst``.
+                 payload: Optional[np.ndarray], corrupted: bool) -> None:
+        """Materialize one attempt's delivered bytes into ``dst``: the
+        payload snapshot when one was given (it wins over the source
+        range), else the source range.
 
         Idempotent across retransmits: each attempt rewrites the range
         from the source of truth, then applies this attempt's wire
@@ -448,7 +439,7 @@ class DeviceTransport:
         """
         if payload is not None and dst.data is not None:
             dst.data.view(np.uint8)[dst_offset:dst_offset + n] = payload
-        elif not moved:
+        else:
             dst.copy_payload_from(src, nbytes=n, src_offset=src_offset,
                                   dst_offset=dst_offset)
         if corrupted and n and dst.data is not None:
@@ -488,44 +479,24 @@ class DeviceTransport:
 
     def estimate(self, src_gpu, dst_gpu, nbytes: int) -> float:
         """Closed-form uncontended estimate (used by tuning tables)."""
-        if src_gpu is dst_gpu:
-            return self.cal.cuda_copy_overhead + nbytes / src_gpu.spec.membw
-        if self.cluster.same_node(src_gpu, dst_gpu):
-            if self.profile.ipc:
-                return (self.cal.cuda_copy_overhead
-                        + 2 * self.cal.pcie_latency
-                        + nbytes / self.cal.pcie_bw)
-            return self._staged_estimate(nbytes, wire_bw=self.cal.pcie_bw)
+        path, _links, extra = self._route(src_gpu, dst_gpu, nbytes)
+        cal = self.cal
+        if path == "d2d":
+            return extra  # the copy's fixed hold is its whole cost
+        if path == "ipc":
+            return (cal.cuda_copy_overhead + 2 * cal.pcie_latency
+                    + nbytes / cal.pcie_bw)
+        if path == "staged_intra":
+            return self._staged_estimate(nbytes, wire_bw=cal.pcie_bw)
+        # The NIC's spec bandwidth, not its (possibly slowed) tx link.
         nic_bw = self.cluster.node_of(src_gpu).nic_for(src_gpu).bandwidth
-        if self.profile.gdr and nbytes <= self.profile.gdr_threshold:
-            bw = min(self.cal.pcie_bw, nic_bw, self.cal.gdr_read_bw)
-            return (2 * self.cal.pcie_latency + 2 * self.cal.ib_latency
+        if path == "gdr":
+            bw = min(cal.pcie_bw, nic_bw, cal.gdr_read_bw)
+            return (2 * cal.pcie_latency + 2 * cal.ib_latency
                     + nbytes / bw)
         return self._staged_estimate(nbytes, wire_bw=nic_bw)
 
     # -- mechanisms ------------------------------------------------------------
-    def _gdr_inter_node(self, src: DeviceBuffer, dst: DeviceBuffer,
-                        nbytes: int) -> Generator[Event, Any, None]:
-        """GPUDirect RDMA: PCIe(src) -> NIC(src) -> NIC(dst) -> PCIe(dst).
-
-        The GDR read-bandwidth cap is modeled by inflating the wire time
-        to ``nbytes / gdr_read_bw`` when that exceeds the raw cut-through.
-        """
-        links, extra = self._gdr_path(src.device, dst.device, nbytes)
-        yield from multi_link_transfer(self.sim, links, nbytes,
-                                       extra_time=extra, kind="rdma")
-
-    def _gdr_path(self, a, b, nbytes: int):
-        """GDR links and fixed extra hold time (read-bandwidth cap plus
-        the MPI message overhead)."""
-        links = [a.pcie_up, self.cluster.node_of(a).nic_for(a).tx,
-                 self.cluster.node_of(b).nic_for(b).rx, b.pcie_down]
-        raw_bw = min(l.bandwidth for l in links)
-        extra = 0.0
-        if self.cal.gdr_read_bw < raw_bw:
-            extra = nbytes / self.cal.gdr_read_bw - nbytes / raw_bw
-        return links, extra + self.cal.mpi_message_overhead
-
     def _staged_chunks(self, nbytes: int) -> list:
         chunk = self.profile.pipeline_chunk
         offsets = list(range(0, nbytes, chunk)) or [0]
@@ -546,8 +517,8 @@ class DeviceTransport:
         events per chunk.  Counters, telemetry and busy-time integrals
         are replicated exactly; while a stage runs, its link reads as
         continuously busy, so foreign arrivals queue behind the train
-        (per-chunk mode would interleave them — see docs/PERFORMANCE.md
-        for why the fallback matrix makes this unobservable).
+        where per-chunk mode would interleave them (the two modes
+        diverge under such contention; docs/PERFORMANCE.md §3).
 
         Returns True if the train was posted, False if the caller must
         run the per-chunk pipeline.
@@ -556,7 +527,7 @@ class DeviceTransport:
             return False
         up = src.device.pcie_up
         down = dst.device.pcie_down
-        stage_links = (up,) + tuple(mid_links) + (down,)
+        stage_links = (up,) + mid_links + (down,)
         for link in stage_links:
             if not link.train_eligible():
                 return False
@@ -596,7 +567,7 @@ class DeviceTransport:
                 tel.on_cuda_copy("d2h", n)
                 tel.on_cuda_copy("h2d", n)
 
-        for s, links in enumerate(((up,), tuple(mid_links), (down,))):
+        for s, links in enumerate(((up,), mid_links, (down,))):
             end = float(exits[s, -1])
             gap = (end - now) - occ[s].sum()
             for link in links:
@@ -639,60 +610,45 @@ class DeviceTransport:
                 if sync:
                     yield self.sim.timeout(sync)
 
-    def _staged_intra_node(self, src: DeviceBuffer, dst: DeviceBuffer,
-                           nbytes: int) -> Generator[Event, Any, None]:
-        """No-IPC same-node path: D2H, host memcpy, H2D."""
-        node = self.cluster.node_of(src.device)
+    def _staged(self, src: DeviceBuffer, dst: DeviceBuffer, nbytes: int,
+                mid_links) -> Generator[Event, Any, None]:
+        """Pipelined host staging: D2H, the middle stage, H2D.
+
+        Only the middle stage differs by route.  One link is the node's
+        host memcpy, a plain link transfer that pays its
+        ``per_message_overhead`` as a timeout; two are the NIC pair, one
+        cut-through wire hold plus the MPI message overhead.
+        """
         staging = HostBuffer(0, pinned=self.profile.pinned_staging)
         self.metrics.enter_staging()
         try:
-            host = node.host_memcpy
-            done = yield from self._staged_train(
-                src, dst, self._staged_chunks(nbytes), staging,
-                (host,), host.latency, host.bandwidth, 0.0,
-                host.per_message_overhead)
+            if len(mid_links) == 1:
+                host, = mid_links
+                model = (host.latency, host.bandwidth, 0.0,
+                         host.per_message_overhead)
+
+                def mid(n):
+                    return host.transfer(n, kind="hostcpy")
+            else:
+                tx, rx = mid_links
+                ovh = self.cal.mpi_message_overhead
+                model = (tx.latency + rx.latency,
+                         min(tx.bandwidth, rx.bandwidth), ovh, 0.0)
+
+                def mid(n):
+                    return multi_link_transfer(self.sim, mid_links, n,
+                                               extra_time=ovh, kind="wire")
+            chunks = self._staged_chunks(nbytes)
+            done = yield from self._staged_train(src, dst, chunks, staging,
+                                                 mid_links, *model)
             if done:
                 return
             stages = [
                 lambda n: self.cuda.memcpy_d2h(src, staging, n),
-                lambda n: host.transfer(n, kind="hostcpy"),
+                mid,
                 lambda n: self.cuda.memcpy_h2d(dst, staging, n),
             ]
-            yield from self._staged_pipeline(stages,
-                                             self._staged_chunks(nbytes))
-        finally:
-            self.metrics.exit_staging()
-
-    def _staged_inter_node(self, src: DeviceBuffer, dst: DeviceBuffer,
-                           nbytes: int) -> Generator[Event, Any, None]:
-        """No-GDR cross-node path: D2H, NIC->NIC wire, H2D."""
-        a, b = src.device, dst.device
-        nic_a = self.cluster.node_of(a).nic_for(a)
-        nic_b = self.cluster.node_of(b).nic_for(b)
-        staging = HostBuffer(0, pinned=self.profile.pinned_staging)
-        self.metrics.enter_staging()
-        try:
-            done = yield from self._staged_train(
-                src, dst, self._staged_chunks(nbytes), staging,
-                (nic_a.tx, nic_b.rx),
-                nic_a.tx.latency + nic_b.rx.latency,
-                min(nic_a.tx.bandwidth, nic_b.rx.bandwidth),
-                self.cal.mpi_message_overhead, 0.0)
-            if done:
-                return
-
-            def wire(n):
-                yield from multi_link_transfer(
-                    self.sim, [nic_a.tx, nic_b.rx], n,
-                    extra_time=self.cal.mpi_message_overhead, kind="wire")
-
-            stages = [
-                lambda n: self.cuda.memcpy_d2h(src, staging, n),
-                wire,
-                lambda n: self.cuda.memcpy_h2d(dst, staging, n),
-            ]
-            yield from self._staged_pipeline(stages,
-                                             self._staged_chunks(nbytes))
+            yield from self._staged_pipeline(stages, chunks)
         finally:
             self.metrics.exit_staging()
 

@@ -12,12 +12,12 @@ from .core import (
 )
 from .resources import BandwidthLink, Resource, Store
 from .sync import Barrier, Channel, Flag, Mutex, Semaphore
-from .trace import Interval, PhaseTimer, Tracer
+from .trace import Tracer
 
 __all__ = [
     "AllOf", "AnyOf", "Event", "Interrupt", "Process", "Simulator",
     "SimulationError", "Timeout",
     "BandwidthLink", "Resource", "Store",
     "Barrier", "Channel", "Flag", "Mutex", "Semaphore",
-    "Interval", "PhaseTimer", "Tracer",
+    "Tracer",
 ]

@@ -9,18 +9,18 @@ This captures the first-order effect the paper's co-designs exploit
 
 The three classes here are the highest-churn objects in the simulation
 after the kernel's own events, so they are ``__slots__``-ed, and the
-chunked hold patterns that collectives drive through links have a batched
-fast path (:func:`pipeline_exit_times`, :meth:`BandwidthLink.transfer_train`)
-that computes a K-chunk occupancy schedule as one vectorized NumPy
-recurrence instead of O(K) request/timeout/release round-trips.  See
-``docs/PERFORMANCE.md`` for when the batched path disables itself.
+transport's pipelined staged transfers have a batched fast path
+(:func:`pipeline_exit_times`) that computes a K-chunk occupancy schedule
+as one NumPy recurrence instead of O(K) request/timeout/release
+round-trips.  See ``docs/PERFORMANCE.md`` for when the batched path
+disables itself.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Generator, Iterable, Optional, Sequence
+from typing import Any, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -347,48 +347,6 @@ class BandwidthLink:
                 and (self.sim.rng is None or self.jitter == 0.0)
                 and self.check_fault is None
                 and self._res.idle)
-
-    def transfer_train(self, sizes: Iterable[int], *, kind: str = "xfer",
-                       ) -> Generator[Event, Any, None]:
-        """Move a back-to-back train of messages (sizes in bytes).
-
-        Equivalent to ``for n in sizes: yield from self.transfer(n)`` —
-        and falls back to exactly that whenever :meth:`train_eligible`
-        is false — but the eligible path posts the whole train as one
-        precomputed hold (a constant number of events instead of O(K)).
-        While the train runs the link reads as continuously busy, so
-        foreign arrivals queue behind it; the busy-time integral is
-        corrected to the true wire time.
-        """
-        sizes = list(sizes)
-        if len(sizes) < 2 or not self.train_eligible():
-            for n in sizes:
-                yield from self.transfer(n, kind=kind)
-            return
-        self.messages += len(sizes)
-        sim = self.sim
-        pmo = self.per_message_overhead
-        # The end instant is accumulated with the exact add sequence the
-        # per-chunk path realizes (overhead timeout, then hold, chunk by
-        # chunk): float addition does not associate, and the batched
-        # schedule must land on the per-chunk times to the last ULP.
-        end = sim.now
-        wire = 0.0
-        for n in sizes:
-            self.bytes_moved += n
-            occ = self.occupancy(n)
-            wire += occ
-            if pmo:
-                end += pmo
-            end += occ
-        res = self._res
-        grant = res.try_acquire()  # train_eligible: the link is idle
-        held = end - sim.now
-        try:
-            yield sim.timeout_at(end)
-        finally:
-            res.release(grant)
-            res._absorb_idle(held - wire)
 
 
 class Store:

@@ -1,6 +1,6 @@
 """Chaos-conformance gate: the outcome trichotomy, its mutation
 self-test rows, and two interplay regressions —
-faulty links vs the batched-train fast path, and fault-plan determinism
+faulty links vs the transport's batched-train fast path, and fault-plan determinism
 against the heap-scheduler oracle."""
 
 import pytest
@@ -11,11 +11,16 @@ from repro.check import (
 from repro.check.chaos import (
     GOOD_OUTCOMES, chaos_outcome_tally, generate_chaos_matrix,
 )
+import repro.mpi.transport as transport_mod
 from repro.core import TrainConfig, run_scaffe
+from repro.cuda import CudaRuntime, DeviceBuffer
 from repro.faults import PLAN_NAMES, named_plan
-from repro.hardware import make_cluster
-from repro.hardware.faults import FaultyLink, MessageDropped
+from repro.hardware import cluster_b, make_cluster
+from repro.hardware.faults import FaultyLink
+from repro.mpi import MV2
+from repro.mpi.transport import DeviceTransport
 from repro.sim import BandwidthLink, Simulator
+from repro.sim.resources import pipeline_exit_times
 
 from .heap_oracle import HeapSimulator
 
@@ -58,17 +63,64 @@ class TestChaosSelfTest:
             assert outcomes[name].clean_ok, name
 
 
-class TestFaultyLinkFastPath:
-    """Regression: FaultyLink must never take the batched-train fast
-    path — a train collapsed into one precomputed hold would skip the
-    per-chunk fault checks, letting drops/corruption/stalls slip past."""
+class _TapLink(FaultyLink):
+    """A FaultyLink that records how many chunks it had moved when
+    each forced drop fired."""
 
-    def _link(self, sim):
-        return FaultyLink(sim, bandwidth=1e9, latency=1e-6, name="l")
+    def check_fault(self):
+        if self._drops_pending:
+            self.dropped_at.append(self.messages)
+        super().check_fault()
+
+
+class TestFaultyLinkFastPath:
+    """Regression: a FaultyLink stage must never take the batched-train
+    fast path — a train collapsed into one precomputed hold would skip
+    the per-chunk fault checks, letting drops/corruption/stalls slip
+    past.  Driven through a host-staged ``DeviceTransport.transfer``
+    (same node, no IPC) whose middle stage is the node's host-memcpy
+    link."""
+
+    CHUNK = 64 << 10
+    K = 16
+
+    def _run(self, faulty, drops=0, arm=None):
+        """One K-chunk staged transfer, ``drops`` forced drops pending
+        on a faulty host link; returns (end time, host link, transport,
+        number of batched trains posted)."""
+        sim = Simulator()
+        cluster = cluster_b(sim, n_nodes=1)
+        node = cluster.nodes[0]
+        if faulty:
+            node.host_memcpy = _TapLink.from_link(node.host_memcpy)
+            node.host_memcpy.dropped_at = []
+            node.host_memcpy.drop_next(drops)
+        link = node.host_memcpy
+        tr = DeviceTransport(cluster, CudaRuntime(cluster),
+                             MV2.derive(ipc=False, pipeline_chunk=self.CHUNK))
+        nbytes = self.K * self.CHUNK
+        a = DeviceBuffer(cluster.gpu(0), nbytes)
+        b = DeviceBuffer(cluster.gpu(1), nbytes)
+        trains = []
+
+        def counting(*args, **kwargs):
+            trains.append(1)
+            return pipeline_exit_times(*args, **kwargs)
+
+        def prog():
+            yield from tr.transfer(a, b, nbytes)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(transport_mod, "pipeline_exit_times", counting)
+            sim.process(prog())
+            if arm is not None:
+                sim.process(arm(sim, link))
+            sim.run()
+        return sim.now, link, tr, len(trains)
 
     def test_faulty_link_never_train_eligible(self):
         sim = Simulator()
-        link = self._link(sim)
+        link = FaultyLink(sim, bandwidth=1e9, latency=1e-6, name="l")
         # Healthy, idle, no recorder/jitter — a plain BandwidthLink
         # would be eligible; the fault hook alone must disqualify.
         assert BandwidthLink(sim, bandwidth=1e9, latency=1e-6,
@@ -82,59 +134,47 @@ class TestFaultyLinkFastPath:
         assert not link.train_eligible()
         link.set_down(False)
         assert not link.train_eligible()
+        # A staged transfer posts its train over a plain host link and
+        # runs every chunk through a FaultyLink one.
+        assert self._run(faulty=False)[3] == 1
+        _, link, _, trains = self._run(faulty=True)
+        assert trains == 0
+        assert link.messages == self.K
 
     def test_pending_drop_fires_on_first_train_chunk(self):
-        sim = Simulator()
-        link = self._link(sim)
-        link.drop_next(1)
-
-        def prog():
-            yield from link.transfer_train([1024] * 8)
-
-        sim.process(prog())
-        with pytest.raises(MessageDropped):
-            sim.run()
+        _, link, tr, trains = self._run(faulty=True, drops=1)
+        assert trains == 0
         assert link.drops_served == 1
+        assert link.dropped_at == [0]
+        # The transport saw the drop and re-sent the transfer.
+        assert tr.metrics.drops_detected == 1
+        assert tr.metrics.retries == 1
 
     def test_mid_train_fault_flip_hits_a_later_chunk(self):
-        """A fault armed *while the train is already running* must hit
-        one of the remaining chunks — the per-chunk fallback re-checks
-        fault state at every chunk boundary."""
-        sim = Simulator()
-        link = self._link(sim)
-        chunk_t = link.occupancy(1 << 20)
+        """A fault armed *while the transfer is already running* must
+        hit one of the remaining chunks — the per-chunk fallback
+        re-checks fault state at every chunk boundary."""
+        half = self._run(faulty=False)[0] / 2
 
-        def prog():
-            yield from link.transfer_train([1 << 20] * 16)
-
-        def mid_train():
-            yield sim.timeout(5.5 * chunk_t)
+        def arm(sim, link):
+            yield sim.timeout(half)
             link.drop_next(1)
 
-        sim.process(prog())
-        sim.process(mid_train())
-        with pytest.raises(MessageDropped):
-            sim.run()
+        _, link, tr, _ = self._run(faulty=True, arm=arm)
         assert link.drops_served == 1
-        assert 0 < link.messages < 16
+        assert 0 < link.dropped_at[0] < self.K
+        assert tr.metrics.drops_detected == 1
 
     def test_pristine_faulty_link_timing_matches_plain_link(self):
         """The per-chunk fallback costs events, not time: a pristine
-        FaultyLink train lands on the same clock as a BandwidthLink."""
-        def run(make):
-            sim = Simulator()
-            link = make(sim)
-
-            def prog():
-                yield from link.transfer_train([4096] * 10)
-
-            sim.process(prog())
-            sim.run()
-            return sim.now
-
-        t_plain = run(lambda s: BandwidthLink(s, bandwidth=1e9,
-                                              latency=1e-6, name="b"))
-        assert run(self._link) == t_plain
+        FaultyLink stage lands on the same clock as a plain link's
+        batched train."""
+        t_plain, plain, _, trains = self._run(faulty=False)
+        t_faulty, faulty, _, _ = self._run(faulty=True)
+        assert trains == 1
+        assert t_faulty == t_plain
+        assert (faulty.messages, faulty.bytes_moved) == (
+            plain.messages, plain.bytes_moved)
 
 
 class TestPlanDeterminismAcrossSchedulers:

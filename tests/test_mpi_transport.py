@@ -1,10 +1,14 @@
 """Tests for the device transport layer: path selection, pipelining,
 the GDR size threshold, and estimate-vs-simulation consistency."""
 
+import math
+
 import pytest
 
 from repro.cuda import CudaRuntime, DeviceBuffer
 from repro.hardware import cluster_a, cluster_b
+from repro.hardware.faults import FaultyLink
+from repro.hardware.topology import LinkHold
 from repro.mpi import MV2, MV2GDR, OPENMPI
 from repro.mpi.transport import DeviceTransport
 from repro.sim import Simulator
@@ -29,7 +33,93 @@ def timed_transfer(sim, transport, src, dst, nbytes):
     return p.value
 
 
+def _link_slots(cluster):
+    """Every (owner, attribute) holding a link of ``cluster``."""
+    for node in cluster.nodes:
+        for g in node.gpus:
+            yield g, "pcie_up"
+            yield g, "pcie_down"
+        for nic in node.nics:
+            yield nic, "tx"
+            yield nic, "rx"
+        yield node, "host_memcpy"
+        yield node, "cpu_reduce"
+
+
+class _PathTap:
+    """Telemetry stand-in recording the transport's path/copy hooks."""
+
+    next_scrape_at = math.inf
+
+    def __init__(self):
+        self.calls = []
+
+    def on_transfer_path(self, path, nbytes):
+        self.calls.append(("path", path))
+
+    def on_cuda_copy(self, kind, nbytes):
+        self.calls.append(("copy", kind))
+
+
+#: route -> (profile, src GPU, dst GPU, bytes, CUDA copies reported);
+#: on a 2-node Cluster-B, GPUs 0 and 1 share node 0 and GPU 2 is on
+#: node 1.
+ROUTES = {
+    "d2d": (MV2GDR, 0, 0, 64 << 10, {"d2d"}),
+    "ipc": (MV2GDR, 0, 1, 64 << 10, {"p2p"}),
+    "staged_intra": (OPENMPI, 0, 1, 2 << 20, {"d2h", "h2d"}),
+    "gdr": (MV2GDR, 0, 2, 64 << 10, set()),
+    "staged_inter": (MV2GDR, 0, 2, 2 << 20, {"d2h", "h2d"}),
+}
+
+
 class TestPathSelection:
+    @staticmethod
+    def _route_run(route, callback=False, armed=None):
+        """Run ``route``'s transfer on a fresh cluster.  ``armed`` is
+        the index of a :func:`_link_slots` slot swapped for a FaultyLink
+        with one corruption pending.  Returns (cluster, telemetry calls,
+        armed link)."""
+        profile, s, d, nbytes, _ = ROUTES[route]
+        sim, cluster, tr = setup(profile=profile)
+        link = None
+        if armed is not None:
+            owner, attr = list(_link_slots(cluster))[armed]
+            link = FaultyLink.from_link(getattr(owner, attr))
+            link.corrupt_next(1)
+            setattr(owner, attr, link)
+            cluster.fault_links_armed = True
+        tap = sim.telemetry = _PathTap()
+        a = DeviceBuffer(cluster.gpu(s), nbytes)
+        b = DeviceBuffer(cluster.gpu(d), nbytes)
+        xfer = tr.transfer(a, b, nbytes,
+                           on_done=(lambda hold: None) if callback else None)
+        if not isinstance(xfer, LinkHold):
+            sim.process(xfer)
+        sim.run()
+        return cluster, tap.calls, link
+
+    @pytest.mark.parametrize("callback", [False, True])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_route_is_consistent(self, route, callback):
+        """One route decides the telemetry label, the links the payload
+        moves over and the links a corruption is attributed to."""
+        cluster, calls, _ = self._route_run(route, callback)
+        assert calls[0] == ("path", route)
+        assert {kind for _, kind in calls[1:]} == ROUTES[route][4]
+        moved = {getattr(o, a).name for o, a in _link_slots(cluster)
+                 if getattr(o, a).messages}
+        attributed = set()
+        for i in range(len(list(_link_slots(cluster)))):
+            _, _, link = self._route_run(route, callback, armed=i)
+            if link.corruptions_served:
+                attributed.add(link.name)
+            else:
+                # Off the route: the pending corruption stays pending.
+                assert link._corrupt_pending == 1, link.name
+        assert attributed == moved
+        assert bool(moved) == (route != "d2d")
+
     def test_same_device_uses_membw(self):
         sim, cluster, tr = setup()
         g = cluster.gpu(0)

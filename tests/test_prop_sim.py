@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
-    Barrier, BandwidthLink, Channel, Resource, Simulator, Store, Tracer,
+    Barrier, BandwidthLink, Channel, Resource, Simulator, Store,
 )
 
 durations = st.floats(min_value=0.0, max_value=100.0,
@@ -180,34 +180,6 @@ class TestLinkProperties:
         assert abs(sim.now - sum(sizes) / 1e6) < 1e-9 * len(sizes) + 1e-12
 
 
-class TestTracerUnion:
-    @given(st.lists(st.tuples(durations, durations), min_size=1,
-                    max_size=20))
-    @settings(max_examples=40, deadline=None)
-    def test_busy_union_bounds(self, intervals):
-        sim = Simulator()
-        tr = Tracer(sim)
-
-        def worker(i, start, dur):
-            yield sim.timeout(start)
-            tr.begin(f"a{i}", "phase")
-            yield sim.timeout(dur)
-            tr.end(f"a{i}", "phase")
-
-        for i, (s, d) in enumerate(intervals):
-            sim.process(worker(i, s, d))
-        sim.run()
-
-        union = tr.busy_union("phase")
-        total = tr.total("phase")
-        longest = max(d for _, d in intervals)
-        span = (max(s + d for s, d in intervals)
-                - min(s for s, _ in intervals))
-        assert union <= total + 1e-9
-        assert union >= longest - 1e-9
-        assert union <= span + 1e-9
-
-
 class TestStoreProperty:
     @given(st.lists(st.integers(), min_size=1, max_size=25),
            st.integers(min_value=1, max_value=4))
@@ -298,7 +270,7 @@ class TestProfilerProperty:
         for s in rec.spans:
             for d in s.deps:
                 assert rec.spans[d].end <= s.start + eps
-        # busy_union-style resource invariant: no resource is busy
+        # Resource invariant: no resource is busy
         # longer than the run (capacity-1 FIFO serialization).
         for r, frac in g.utilization().items():
             assert frac <= 1.0 + 1e-6, r

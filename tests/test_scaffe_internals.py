@@ -1,13 +1,15 @@
 """White-box tests for SCaffeJob internals: extrapolation, buffer
 layouts, memory hygiene, I/O stall accounting."""
 
+from collections import Counter
+
 import pytest
 
 from repro import TrainConfig
 from repro.core import SCaffeJob, Workload, run_scaffe
 from repro.dnn import get_network
 from repro.hardware import cluster_a
-from repro.sim import Simulator
+from repro.sim import Simulator, Tracer
 
 
 def make_job(variant="SC-B", n_gpus=4, iterations=6, measure=2, **kw):
@@ -70,12 +72,20 @@ class TestMemoryHygiene:
 
 
 class TestBufferLayouts:
-    def test_variant_buffer_policy(self):
+    def test_variant_buffer_policy(self, monkeypatch):
         """SC-B packs both directions; SC-OB splits only params;
         SC-OBR splits both — visible as the number of traced
         propagation/aggregation intervals per iteration."""
         wl = Workload.from_spec(get_network("cifar10_quick"))
         G = len(wl.groups)
+        ends = Counter()
+        end = Tracer.end
+
+        def counting_end(tracer, actor, phase):
+            ends[actor, phase] += 1
+            end(tracer, actor, phase)
+
+        monkeypatch.setattr(Tracer, "end", counting_end)
 
         for variant, (n_prop_exp, n_agg_exp) in (
                 ("SC-B", (1, 1)),      # one packed bcast, one packed reduce
@@ -88,11 +98,10 @@ class TestBufferLayouts:
                               measure_iterations=1, variant=variant,
                               reduce_design="flat")
             job = SCaffeJob(cluster, 4, wl, cfg)
+            ends.clear()
             job.run()
-            n_agg = sum(1 for iv in job.tracer.intervals
-                        if iv.phase == "aggregation" and iv.actor == "r0")
-            n_prop = sum(1 for iv in job.tracer.intervals
-                         if iv.phase == "propagation" and iv.actor == "r0")
+            n_agg = ends["r0", "aggregation"]
+            n_prop = ends["r0", "propagation"]
             assert (n_prop, n_agg) == (n_prop_exp, n_agg_exp), variant
 
 

@@ -4,12 +4,12 @@ The simulator schedules on an URGENT FIFO lane plus one time heap,
 with pooled events.  The test-only :class:`HeapSimulator` oracle keeps
 everything in one flat ``(time, priority, seq)`` heap with no lane and
 no pooling, sharing the rest of the semantic protocol (inline
-completion, trampoline, eager process start, batched link trains), so
+completion, trampoline, eager process start, batched staged trains), so
 seeded runs must be *event-for-event identical*: same dispatch order,
 same times, same event count.  These tests pin that contract, plus
 the unit behavior of the kernel's fast paths (same-time FIFO order,
-event pooling, tombstone cancel, batched transfer trains, closed-form
-pipeline schedules) and its independence from the string-hash seed.
+event pooling, tombstone cancel, closed-form pipeline schedules,
+batched staged transfers) and its independence from the string-hash seed.
 """
 
 import json
@@ -23,6 +23,10 @@ import pytest
 
 import repro.mpi.omb
 from repro.check.harness import Case, generate_matrix, run_case
+from repro.cuda import CudaRuntime, DeviceBuffer
+from repro.hardware import cluster_b
+from repro.mpi import MV2
+from repro.mpi.transport import DeviceTransport
 from repro.sim import Channel, Simulator
 from repro.sim.resources import (
     BandwidthLink, Resource, Store, pipeline_exit_times,
@@ -36,7 +40,7 @@ from .heap_oracle import HeapSimulator
 def _mixed_workload(sim):
     """Exercise every kernel feature: contended resources, links with
     per-message overhead, stores, condition events, zero-delay wakeups,
-    chunk trains, and cancellation via interrupt."""
+    staged chunk trains, and cancellation via interrupt."""
     res = Resource(sim, capacity=2, name="res")
     link = BandwidthLink(sim, bandwidth=1e9, latency=1e-6,
                          per_message_overhead=2e-7, name="lnk")
@@ -52,10 +56,18 @@ def _mixed_workload(sim):
         yield store.put(i)
         done.append(i)
 
+    # Host-staged transfers between a node's two GPUs: pipelined chunk
+    # trains posted through ``timeout_at``.
+    cluster = cluster_b(sim, n_nodes=1)
+    staged = DeviceTransport(cluster, CudaRuntime(cluster),
+                             MV2.derive(ipc=False, pipeline_chunk=4096))
+    src = DeviceBuffer(cluster.gpu(0), 5 * 4096)
+    dst = DeviceBuffer(cluster.gpu(1), 5 * 4096)
+
     def trainer():
         yield sim.timeout(5e-6)
-        yield from link.transfer_train([4096] * 5)
-        yield from link.transfer_train([100, 200])
+        yield from staged.transfer(src, dst, 5 * 4096)
+        yield from staged.transfer(src, dst, 4096 + 300)
 
     def taker():
         got = []
@@ -317,49 +329,6 @@ class TestTombstoneCancel:
         sim.process(proc())
         sim.run()
         assert res.idle
-
-
-class TestTransferTrain:
-    def _times(self, batched, sizes):
-        sim = Simulator()
-        link = BandwidthLink(sim, bandwidth=5e9, latency=2e-6,
-                             per_message_overhead=1e-7, name="l")
-
-        def proc():
-            if batched:
-                yield from link.transfer_train(sizes)
-            else:
-                for n in sizes:
-                    yield from link.transfer(n)
-
-        sim.process(proc())
-        sim.run()
-        return sim.now, link.messages, link.bytes_moved, link._res.busy_time
-
-    def test_uncontended_train_matches_per_chunk_exactly(self):
-        sizes = [4096] * 7 + [1234]
-        t_b, m_b, by_b, busy_b = self._times(True, sizes)
-        t_p, m_p, by_p, busy_p = self._times(False, sizes)
-        assert t_b == t_p
-        assert (m_b, by_b) == (m_p, by_p)
-        assert busy_b == pytest.approx(busy_p, abs=1e-15)
-
-    def test_train_falls_back_when_link_busy(self):
-        sim = Simulator()
-        link = BandwidthLink(sim, bandwidth=5e9, latency=2e-6, name="l")
-
-        def background():
-            yield from link.transfer(1 << 20)
-
-        def train():
-            yield sim.timeout(1e-9)  # link now held by background
-            assert not link.train_eligible()
-            yield from link.transfer_train([4096] * 4)
-
-        sim.process(background())
-        sim.process(train())
-        sim.run()
-        assert link.messages == 5
 
 
 class TestPipelineExitTimes:
